@@ -151,6 +151,63 @@ void BM_DeviceSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceSelect);
 
+void BM_WarpTracerFinalize(benchmark::State& state) {
+  // One traced warp of 32 lanes x 8 slots: half the slots coalesced, half
+  // scattered over 1 MiB (the estimate/loc_recover mix).
+  cusim::LaunchArena arena;
+  cusim::WarpTracer tr;
+  tr.reset(128, &arena);
+  Rng rng(12);
+  std::vector<u64> addrs(32 * 8);
+  for (u32 lane = 0; lane < 32; ++lane)
+    for (u32 s = 0; s < 8; ++s)
+      addrs[lane * 8 + s] = s % 2 == 0
+                                ? (u64{s} << 24) + lane * 16
+                                : (u64{s} << 24) + rng.next_below(1 << 20);
+  for (auto _ : state) {
+    tr.clear();
+    for (u32 lane = 0; lane < 32; ++lane)
+      for (u32 s = 0; s < 8; ++s)
+        tr.on_access(s, addrs[lane * 8 + s], 16, s == 7);
+    auto t = tr.finalize();
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 32 * 8);
+}
+BENCHMARK(BM_WarpTracerFinalize);
+
+void BM_TracedScatterLaunch(benchmark::State& state) {
+  // Algorithm 4's vote shape at n = 2^18: one thread per selected bucket,
+  // each walking n/B = 64 score cells with u32 atomics. Not cacheable, so
+  // every launch is traced — the per-signal cost graph replay cannot skip.
+  constexpr std::size_t kN = 1 << 18, kThreads = 1024, kWidth = 64;
+  cusim::Device dev;
+  dev.set_parallel(false);
+  cusim::DeviceBuffer<u32> score(kN);
+  std::vector<u64> start(kThreads), step(kThreads);
+  Rng rng(13);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    start[i] = rng.next_below(kN);
+    step[i] = rng.next_odd_below(kN);
+  }
+  for (auto _ : state) {
+    dev.begin_capture();
+    dev.launch(cusim::LaunchCfg::for_elements("scatter_vote", kThreads),
+               [&](cusim::ThreadCtx& t) {
+                 const u64 i = t.global_id();
+                 u64 loc = start[i];
+                 for (std::size_t w = 0; w < kWidth; ++w) {
+                   score.atomic_add(t, loc, u32{1});
+                   loc = (loc + step[i]) & (kN - 1);
+                 }
+               });
+    benchmark::DoNotOptimize(score.host().data());
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kThreads *
+                          kWidth);
+}
+BENCHMARK(BM_TracedScatterLaunch);
+
 void BM_TimelineSimulate(benchmark::State& state) {
   // Rebuild the event list every iteration: simulate() caches its result
   // while the timeline is unchanged, so submitting outside the loop would

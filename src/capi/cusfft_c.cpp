@@ -4,6 +4,7 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include <cstring>
@@ -168,12 +169,35 @@ struct cusfft_plan_t {
   }
 };
 
+namespace {
+
+/// True when C enum argument `e` holds one of the values 0..last. A C
+/// caller may pass any int for an enum parameter, and loading an
+/// out-of-range value through the C++ enum type is undefined (UBSan's
+/// -fsanitize=enum traps it), so the argument is read as its underlying
+/// integer — through its object representation — before any store,
+/// comparison or conversion. Every enum in cusfft.h numbers from 0.
+template <typename E>
+bool valid_enum(const E& e, E last) {
+  using U = std::underlying_type_t<E>;
+  U v;
+  std::memcpy(&v, &e, sizeof v);
+  if constexpr (std::is_signed_v<U>) {
+    if (v < 0) return false;
+  }
+  return v <= static_cast<U>(last);
+}
+
+}  // namespace
+
 extern "C" {
 
 cusfft_status cusfft_plan(cusfft_handle* out, size_t n, size_t k,
                           cusfft_backend backend) {
   if (out == nullptr) return CUSFFT_INVALID_ARGUMENT;
   *out = nullptr;
+  if (!valid_enum(backend, CUSFFT_BACKEND_GPU_OPTIMIZED))
+    return CUSFFT_INVALID_ARGUMENT;
   auto plan = std::make_unique<cusfft_plan_t>();
   plan->params.n = n;
   plan->params.k = k;
@@ -191,7 +215,8 @@ cusfft_status cusfft_set_seed(cusfft_handle h, uint64_t seed) {
 }
 
 cusfft_status cusfft_set_algorithm(cusfft_handle h, cusfft_algorithm algo) {
-  if (h == nullptr) return CUSFFT_INVALID_ARGUMENT;
+  if (h == nullptr || !valid_enum(algo, CUSFFT_ALGO_AUTO))
+    return CUSFFT_INVALID_ARGUMENT;
   switch (algo) {
     case CUSFFT_ALGO_CUSFFT:
       h->params.algo = cusfft::sfft::Algorithm::kCusfft;
@@ -378,7 +403,8 @@ cusfft_status cusfft_get_cluster_stats(cusfft_handle h,
 cusfft_status cusfft_set_pcie_staging(cusfft_handle h,
                                       cusfft_pcie_staging policy,
                                       size_t max_inflight) {
-  if (h == nullptr) return CUSFFT_INVALID_ARGUMENT;
+  if (h == nullptr || !valid_enum(policy, CUSFFT_STAGING_MAX_INFLIGHT))
+    return CUSFFT_INVALID_ARGUMENT;
   cusfft::cusim::PcieStaging s;
   switch (policy) {
     case CUSFFT_STAGING_UNLIMITED:
@@ -403,7 +429,8 @@ cusfft_status cusfft_set_pcie_staging(cusfft_handle h,
 
 cusfft_status cusfft_set_shard_policy(cusfft_handle h,
                                       cusfft_shard_policy policy) {
-  if (h == nullptr) return CUSFFT_INVALID_ARGUMENT;
+  if (h == nullptr || !valid_enum(policy, CUSFFT_SHARD_UNIT_GREEDY))
+    return CUSFFT_INVALID_ARGUMENT;
   switch (policy) {
     case CUSFFT_SHARD_COST_LPT:
       h->shard_policy = cusfft::gpu::ShardPolicy::kCostLpt;
@@ -506,8 +533,7 @@ cusfft_status cusfft_metrics_text(char* buf, size_t cap, size_t* len) {
 
 cusfft_status cusfft_metrics_write(const char* path,
                                    cusfft_metrics_format format) {
-  if (path == nullptr) return CUSFFT_INVALID_ARGUMENT;
-  if (format != CUSFFT_METRICS_JSON && format != CUSFFT_METRICS_PROMETHEUS)
+  if (path == nullptr || !valid_enum(format, CUSFFT_METRICS_PROMETHEUS))
     return CUSFFT_INVALID_ARGUMENT;
   try {
     auto& reg = cusfft::cusim::MetricsRegistry::global();
@@ -602,8 +628,7 @@ cusfft_status cusfft_server_submit(cusfft_server s, const char* tenant,
   if (s == nullptr || tenant == nullptr || input == nullptr ||
       request_id == nullptr)
     return CUSFFT_INVALID_ARGUMENT;
-  if (slo != CUSFFT_SLO_LATENCY && slo != CUSFFT_SLO_THROUGHPUT)
-    return CUSFFT_INVALID_ARGUMENT;
+  if (!valid_enum(slo, CUSFFT_SLO_THROUGHPUT)) return CUSFFT_INVALID_ARGUMENT;
   try {
     cusfft::serve::Request r;
     r.tenant = tenant;

@@ -71,6 +71,7 @@ struct GpuPlan::Impl {
   DeviceBuffer<u32> d_vals;           // B
   DeviceBuffer<u32> d_selected;       // B (fast selection output)
   DeviceBuffer<u32> d_sel_count;      // 1
+  DeviceBuffer<double> d_norm;        // B (fast-selection RMS reduction)
   std::vector<StreamId> streams;      // GK110: up to 32 concurrent kernels
 
   std::unique_ptr<cufftsim::Plan> fft_batched;  // (B, L)
@@ -374,7 +375,7 @@ struct GpuPlan::Impl {
                     const u64 i = t.global_id();
                     if (i < B) zb_->store(t, i, buck_->load(t, r * B + i));
                   });
-      norm2 = custhrust::reduce_norm2(*dev, *zb_, s);
+      norm2 = custhrust::reduce_norm2(*dev, *zb_, d_norm, s);
     }
     const double thresh2 =
         opts.select_beta * opts.select_beta * norm2 / static_cast<double>(B);
@@ -981,6 +982,7 @@ GpuPlan::GpuPlan(cusim::Device& dev, sfft::Params params, Options opts)
   if (opts.fast_selection) {
     im.d_selected = DeviceBuffer<u32>(im.B);
     im.d_sel_count = DeviceBuffer<u32>(1);
+    im.d_norm = DeviceBuffer<double>(im.B);
   } else {
     im.d_keys = DeviceBuffer<double>(im.B);
     im.d_vals = DeviceBuffer<u32>(im.B);

@@ -123,15 +123,6 @@ class ArenaVec {
 
   void clear() { size_ = 0; }
 
-  /// Sets the size to `count` without initializing new elements (scratch
-  /// buffers that are fully overwritten before being read). Capacity is
-  /// kept when shrinking, so reuse cycles stop touching the arena once the
-  /// high-water mark is reached.
-  void resize_uninit(std::size_t count) {
-    if (count > cap_) grow(count);
-    size_ = count;
-  }
-
   T* begin() { return data_; }
   T* end() { return data_ + size_; }
   const T* begin() const { return data_; }
@@ -142,7 +133,9 @@ class ArenaVec {
   bool empty() const { return size_ == 0; }
 
  private:
-  void grow(std::size_t need) {
+  // Out of line: push_back's fast path stays small enough to inline into
+  // the per-access tracing hooks.
+  [[gnu::noinline]] void grow(std::size_t need) {
     std::size_t cap = cap_ == 0 ? 16 : cap_ * 2;
     while (cap < need) cap *= 2;
     T* fresh = arena_->alloc_array<T>(cap);

@@ -389,7 +389,7 @@ class Device {
              w0 += warp, ++warp_index) {
           const bool traced = (warp_index % stride) == 0;
           if (traced) acc.tracer().clear();
-          ctx.attach_trace(traced ? &acc.tracer() : nullptr, &acc);
+          ctx.attach_trace(traced ? &acc.tracer() : nullptr);
           const std::size_t hi = std::min(cfg.threads_per_block, w0 + warp);
           for (std::size_t tiid = w0; tiid < hi; ++tiid) {
             ctx.begin_thread(static_cast<u32>(tiid));
@@ -436,7 +436,7 @@ class Device {
     auto run_blocks = [&](ThreadCtx& ctx, std::size_t b0, std::size_t b1) {
       ctx.block_dim = static_cast<u32>(cfg.threads_per_block);
       ctx.grid_dim = cfg.blocks;
-      ctx.attach_trace(nullptr, nullptr);
+      ctx.attach_trace(nullptr);
       for (std::size_t b = b0; b < b1; ++b) {
         ctx.block_idx = static_cast<u32>(b);
         for (std::size_t w0 = 0; w0 < cfg.threads_per_block; w0 += warp) {

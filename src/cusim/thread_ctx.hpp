@@ -30,20 +30,14 @@ class ThreadCtx {
     ++slot_;
   }
   void record_atomic(u64 addr, u32 bytes) {
-    if (tracer_) {
-      tracer_->on_access(slot_, addr, bytes, true);
-      accum_->on_atomic_addr(addr);
-    }
+    if (tracer_) tracer_->on_access(slot_, addr, bytes, true);
     ++slot_;
   }
   void record_shared(double count) {
     if (tracer_) tracer_->on_shared(count);
   }
 
-  void attach_trace(WarpTracer* t, KernelAccum* a) {
-    tracer_ = t;
-    accum_ = a;
-  }
+  void attach_trace(WarpTracer* t) { tracer_ = t; }
   /// Clears the flop counter for reuse across launches (Device keeps a pool
   /// of worker contexts instead of constructing fresh ones per launch).
   void reset_flops() { flops_ = 0; }
@@ -54,7 +48,6 @@ class ThreadCtx {
 
  private:
   WarpTracer* tracer_ = nullptr;  // null when this warp is not sampled
-  KernelAccum* accum_ = nullptr;
   u32 slot_ = 0;  // lane-local access sequence number
   double flops_ = 0;
 };

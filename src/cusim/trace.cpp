@@ -1,76 +1,109 @@
 #include "cusim/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <stdexcept>
+#include <utility>
 
 namespace cusfft::cusim {
 
+namespace {
+
+constexpr u64 kNoSeg = ~u64{0};  // no segment address reaches 2^64 - 1
+constexpr std::size_t kInitialSegCapacity = 256;
+
+std::size_t mix(u64 key) {
+  const u64 h = key * 0x9E3779B97F4A7C15ull;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+std::size_t seg_hash(u32 slot, u64 seg) {
+  return mix(seg ^ (static_cast<u64>(slot) << 40));
+}
+
+}  // namespace
+
 void WarpTracer::reset(std::size_t transaction_bytes, LaunchArena* arena) {
+  if (!std::has_single_bit(transaction_bytes))
+    throw std::invalid_argument(
+        "WarpTracer: transaction size must be a power of two");
   accesses_.reset(arena);
-  sorted_.reset(arena);
-  counts_.reset(arena);
-  segs_.reset(arena);
+  atomics_.reset(arena);
   max_slot_ = 0;
   shared_ = 0;
   tx_bytes_ = transaction_bytes;
+  tx_shift_ = static_cast<unsigned>(std::countr_zero(transaction_bytes));
 }
 
 void WarpTracer::clear() {
   accesses_.clear();
+  atomics_.clear();
   max_slot_ = 0;
   shared_ = 0;
 }
 
-void WarpTracer::on_access(u32 slot, u64 addr, u32 bytes, bool atomic) {
-  accesses_.push_back(Access{slot, addr, bytes, atomic});
-  max_slot_ = std::max(max_slot_, slot);
+bool WarpTracer::insert_seg(u32 slot, u64 seg) {
+  if (2 * (seg_set_live_ + 1) > seg_set_.size()) grow_seg_set();
+  const std::size_t mask = seg_set_.size() - 1;
+  for (std::size_t i = seg_hash(slot, seg) & mask;; i = (i + 1) & mask) {
+    SegEntry& e = seg_set_[i];
+    if (e.stamp != stamp_) {
+      e = SegEntry{seg, slot, stamp_};
+      ++seg_set_live_;
+      return true;
+    }
+    if (e.seg == seg && e.slot == slot) return false;
+  }
+}
+
+void WarpTracer::grow_seg_set() {
+  const std::vector<SegEntry> old = std::move(seg_set_);
+  seg_set_.assign(std::max(kInitialSegCapacity, 2 * old.size()),
+                  SegEntry{0, 0, 0});
+  const std::size_t mask = seg_set_.size() - 1;
+  for (const SegEntry& e : old) {
+    if (e.stamp != stamp_) continue;
+    std::size_t i = seg_hash(e.slot, e.seg) & mask;
+    while (seg_set_[i].stamp == stamp_) i = (i + 1) & mask;
+    seg_set_[i] = e;
+  }
 }
 
 WarpTotals WarpTracer::finalize() {
   WarpTotals out;
   out.shared_accesses = shared_;
-  const std::size_t n = accesses_.size();
-  if (n == 0) return out;
+  if (accesses_.empty()) return out;
 
-  // Stable counting sort by slot (equivalent to the stable_sort this
-  // replaced: lane order within a slot is preserved).
-  const std::size_t slots = static_cast<std::size_t>(max_slot_) + 1;
-  counts_.resize_uninit(slots + 1);
-  u32* off = counts_.begin();
-  std::memset(off, 0, (slots + 1) * sizeof(u32));
-  for (const Access& a : accesses_) ++off[a.slot + 1];
-  for (std::size_t s = 0; s < slots; ++s) off[s + 1] += off[s];
-  sorted_.resize_uninit(n);
-  Access* sorted = sorted_.begin();
-  for (const Access& a : accesses_) sorted[off[a.slot]++] = a;
+  // A fresh stamp empties the segment set; stamp 0 marks never-written
+  // entries, so on wrap-around the table is wiped once.
+  if (++stamp_ == 0) {
+    std::fill(seg_set_.begin(), seg_set_.end(), SegEntry{0, 0, 0});
+    stamp_ = 1;
+  }
+  seg_set_live_ = 0;
+  slots_.assign(static_cast<std::size_t>(max_slot_) + 1,
+                SlotState{kNoSeg, 0, 0});
 
-  std::size_t i = 0;
-  while (i < n) {
-    const u32 slot = sorted[i].slot;
-    // Size the segment scratch for this slot's group.
-    std::size_t group_end = i, cap = 0;
-    for (; group_end < n && sorted[group_end].slot == slot; ++group_end) {
-      const Access& a = sorted[group_end];
-      cap += static_cast<std::size_t>((a.addr + a.bytes - 1) / tx_bytes_ -
-                                      a.addr / tx_bytes_) +
-             1;
+  for (const Access& a : accesses_) {
+    SlotState& s = slots_[a.slot];
+    s.bytes += a.bytes;
+    const u64 first = a.addr >> tx_shift_;
+    const u64 last = (a.addr + a.bytes - 1) >> tx_shift_;
+    for (u64 seg = first; seg <= last; ++seg) {
+      if (seg == s.last_seg) continue;
+      s.last_seg = seg;
+      if (insert_seg(a.slot, seg)) ++s.tx;
     }
-    segs_.resize_uninit(cap);
-    u64* segs = segs_.begin();
-    std::size_t nseg = 0;
-    double bytes = 0;
-    for (; i < group_end; ++i) {
-      const Access& a = sorted[i];
-      bytes += a.bytes;
-      const u64 first = a.addr / tx_bytes_;
-      const u64 last = (a.addr + a.bytes - 1) / tx_bytes_;
-      for (u64 s = first; s <= last; ++s) segs[nseg++] = s;
-      if (a.atomic) out.atomic_ops += 1;
-    }
-    std::sort(segs, segs + nseg);
-    const double tx =
-        static_cast<double>(std::unique(segs, segs + nseg) - segs);
+  }
+
+  // Every total is an integer-valued sum, so the slot order of the fold
+  // does not affect the result.
+  out.atomic_ops = static_cast<double>(atomics_.size());
+  for (const SlotState& s : slots_) {
+    if (s.tx == 0) continue;  // slot never accessed by this warp
+    const double tx = static_cast<double>(s.tx);
+    const double bytes = static_cast<double>(s.bytes);
     const double min_tx =
         std::max(1.0, std::ceil(bytes / static_cast<double>(tx_bytes_)));
     out.useful_bytes += bytes;
@@ -80,6 +113,70 @@ WarpTotals WarpTracer::finalize() {
       out.random_tx += tx;
   }
   return out;
+}
+
+void AtomicConflictTable::add(u64 addr, u32 count) {
+  if (2 * (used_.size() + 1) > table_.size()) grow();
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = mix(addr) & mask;; i = (i + 1) & mask) {
+    Entry& e = table_[i];
+    if (e.stamp != stamp_) {
+      e = Entry{addr, count, stamp_};
+      used_.push_back(static_cast<u32>(i));
+      max_ = std::max(max_, count);
+      return;
+    }
+    if (e.addr == addr) {
+      e.count += count;
+      max_ = std::max(max_, e.count);
+      return;
+    }
+  }
+}
+
+void AtomicConflictTable::add_all(std::span<const u64> addrs) {
+  constexpr std::size_t kAhead = 8;
+  // Room for the whole batch up front, so the table (and the prefetched
+  // slots) cannot move mid-batch.
+  while (2 * (used_.size() + addrs.size()) > table_.size()) grow();
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t j = 0; j < addrs.size(); ++j) {
+    if (j + kAhead < addrs.size())
+      __builtin_prefetch(&table_[mix(addrs[j + kAhead]) & mask]);
+    add(addrs[j]);
+  }
+}
+
+void AtomicConflictTable::grow() {
+  const std::vector<Entry> old = std::move(table_);
+  table_.assign(std::max(kInitialCapacity, 2 * old.size()), Entry{0, 0, 0});
+  used_.reserve(table_.size() / 2);
+  const std::size_t mask = table_.size() - 1;
+  for (u32& idx : used_) {
+    const Entry& e = old[idx];
+    std::size_t i = mix(e.addr) & mask;
+    while (table_[i].stamp == stamp_) i = (i + 1) & mask;
+    table_[i] = e;
+    idx = static_cast<u32>(i);
+  }
+}
+
+void AtomicConflictTable::absorb(AtomicConflictTable& other) {
+  for (const u32 idx : other.used_) {
+    const Entry& e = other.table_[idx];
+    add(e.addr, e.count);
+  }
+  other.clear();
+}
+
+void AtomicConflictTable::clear() {
+  used_.clear();
+  max_ = 0;
+  // A fresh stamp empties the table; on wrap-around it is wiped once.
+  if (++stamp_ == 0) {
+    std::fill(table_.begin(), table_.end(), Entry{0, 0, 0});
+    stamp_ = 1;
+  }
 }
 
 void KernelAccum::reset(std::size_t transaction_bytes, u64 sample_stride) {
@@ -92,16 +189,13 @@ void KernelAccum::reset(std::size_t transaction_bytes, u64 sample_stride) {
 
 void KernelAccum::fold_warp(u64 warp_index) {
   warps_.push_back({warp_index, tracer_.finalize()});
+  atomic_conflicts_.add_all(tracer_.atomic_addrs());
 }
-
-void KernelAccum::on_atomic_addr(u64 addr) { ++atomic_conflicts_[addr]; }
 
 void KernelAccum::absorb(KernelAccum& other) {
   warps_.append(other.warps_.begin(), other.warps_.size());
   other.warps_.clear();
-  for (const auto& [addr, cnt] : other.atomic_conflicts_)
-    atomic_conflicts_[addr] += cnt;
-  other.atomic_conflicts_.clear();
+  atomic_conflicts_.absorb(other.atomic_conflicts_);
 }
 
 WarpTotals KernelAccum::scaled_totals() {
@@ -125,10 +219,8 @@ WarpTotals KernelAccum::scaled_totals() {
 }
 
 double KernelAccum::max_atomic_conflict() const {
-  u32 worst = 0;
-  for (const auto& [addr, cnt] : atomic_conflicts_)
-    worst = std::max(worst, cnt);
-  return static_cast<double>(worst) * static_cast<double>(stride_);
+  return static_cast<double>(atomic_conflicts_.max()) *
+         static_cast<double>(stride_);
 }
 
 }  // namespace cusfft::cusim

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 #include <complex>
+#include <stdexcept>
 
 namespace cusfft::custhrust {
 
 namespace {
 
-/// Tree-reduces `vals` (double) in place with `combine`; returns the root.
+/// Tree-reduces vals[0..active) in place with `combine`; returns the root.
 template <typename Combine>
 double tree_reduce(cusim::Device& dev, cusim::DeviceBuffer<double>& vals,
-                   cusim::StreamId stream, Combine combine) {
+                   std::size_t active, cusim::StreamId stream,
+                   Combine combine) {
   using cusim::LaunchCfg;
   using cusim::ThreadCtx;
-  std::size_t active = vals.size();
   while (active > 1) {
     const std::size_t half = (active + 1) / 2;
     dev.launch(LaunchCfg::for_elements("reduce_pass", half, 256, stream)
@@ -33,13 +34,14 @@ double tree_reduce(cusim::Device& dev, cusim::DeviceBuffer<double>& vals,
   return vals.host()[0];
 }
 
+/// Writes map(in[i]) into out[0..in.size()); `out` must be at least as
+/// long as `in`.
 template <typename Map>
-cusim::DeviceBuffer<double> map_to_double(cusim::Device& dev,
-                                          const cusim::DeviceBuffer<cplx>& in,
-                                          cusim::StreamId stream, Map map) {
+void map_to_double(cusim::Device& dev, const cusim::DeviceBuffer<cplx>& in,
+                   cusim::DeviceBuffer<double>& out, cusim::StreamId stream,
+                   Map map) {
   using cusim::LaunchCfg;
   using cusim::ThreadCtx;
-  cusim::DeviceBuffer<double> out(in.size());
   dev.launch(LaunchCfg::for_elements("reduce_map", in.size(), 256, stream)
                  .cache(in.size()),
              [&](ThreadCtx& t) {
@@ -48,7 +50,6 @@ cusim::DeviceBuffer<double> map_to_double(cusim::Device& dev,
                t.add_flops(3);
                out.store(t, i, map(in.load(t, i)));
              });
-  return out;
 }
 
 }  // namespace
@@ -56,9 +57,19 @@ cusim::DeviceBuffer<double> map_to_double(cusim::Device& dev,
 double reduce_norm2(cusim::Device& dev, const cusim::DeviceBuffer<cplx>& data,
                     cusim::StreamId stream) {
   if (data.empty()) return 0.0;
-  auto vals = map_to_double(dev, data, stream,
-                            [](const cplx& v) { return std::norm(v); });
-  return tree_reduce(dev, vals, stream,
+  cusim::DeviceBuffer<double> scratch(data.size());
+  return reduce_norm2(dev, data, scratch, stream);
+}
+
+double reduce_norm2(cusim::Device& dev, const cusim::DeviceBuffer<cplx>& data,
+                    cusim::DeviceBuffer<double>& scratch,
+                    cusim::StreamId stream) {
+  if (data.empty()) return 0.0;
+  if (scratch.size() < data.size())
+    throw std::invalid_argument("reduce_norm2: scratch shorter than data");
+  map_to_double(dev, data, scratch, stream,
+                [](const cplx& v) { return std::norm(v); });
+  return tree_reduce(dev, scratch, data.size(), stream,
                      [](double a, double b) { return a + b; });
 }
 
@@ -66,9 +77,10 @@ double reduce_max_abs(cusim::Device& dev,
                       const cusim::DeviceBuffer<cplx>& data,
                       cusim::StreamId stream) {
   if (data.empty()) return 0.0;
-  auto vals = map_to_double(dev, data, stream,
-                            [](const cplx& v) { return std::abs(v); });
-  return tree_reduce(dev, vals, stream,
+  cusim::DeviceBuffer<double> vals(data.size());
+  map_to_double(dev, data, vals, stream,
+                [](const cplx& v) { return std::abs(v); });
+  return tree_reduce(dev, vals, vals.size(), stream,
                      [](double a, double b) { return std::max(a, b); });
 }
 

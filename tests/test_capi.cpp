@@ -546,7 +546,51 @@ TEST(CApi, ErrorPaths) {
             CUSFFT_INVALID_ARGUMENT);
   EXPECT_EQ(cusfft_get_size(nullptr, &count, &count),
             CUSFFT_INVALID_ARGUMENT);
+
+  // Every entry point taking a C enum rejects integers outside the enum,
+  // above and below, before storing or converting them (clean under
+  // -fsanitize=enum).
+  for (const int bad : {-1, 4, 99}) {
+    cusfft_handle none = nullptr;
+    EXPECT_EQ(cusfft_plan(&none, 1 << 14, 8, static_cast<cusfft_backend>(bad)),
+              CUSFFT_INVALID_ARGUMENT)
+        << bad;
+    EXPECT_EQ(none, nullptr);
+    EXPECT_EQ(cusfft_set_algorithm(h, static_cast<cusfft_algorithm>(bad)),
+              CUSFFT_INVALID_ARGUMENT)
+        << bad;
+    EXPECT_EQ(cusfft_set_pcie_staging(
+                  h, static_cast<cusfft_pcie_staging>(bad), 1),
+              CUSFFT_INVALID_ARGUMENT)
+        << bad;
+    EXPECT_EQ(
+        cusfft_set_shard_policy(h, static_cast<cusfft_shard_policy>(bad)),
+        CUSFFT_INVALID_ARGUMENT)
+        << bad;
+    EXPECT_EQ(cusfft_metrics_write("unused.json",
+                                   static_cast<cusfft_metrics_format>(bad)),
+              CUSFFT_INVALID_ARGUMENT)
+        << bad;
+  }
+  // The rejected calls left the plan usable.
+  std::size_t n = 0, k = 0;
+  EXPECT_EQ(cusfft_get_size(h, &n, &k), CUSFFT_SUCCESS);
+  EXPECT_EQ(n, 1u << 14);
   cusfft_destroy(h);
+
+  cusfft_server s = nullptr;
+  ASSERT_EQ(cusfft_server_create(&s, nullptr), CUSFFT_SUCCESS);
+  const cvec x(256);
+  const auto* in = reinterpret_cast<const double*>(x.data());
+  for (const int bad : {-1, 2, 99}) {
+    uint64_t id = 0;
+    EXPECT_EQ(cusfft_server_submit(s, "a", 0.0, x.size(), 4,
+                                   static_cast<cusfft_slo_class>(bad), 0, in,
+                                   &id),
+              CUSFFT_INVALID_ARGUMENT)
+        << bad;
+  }
+  EXPECT_EQ(cusfft_server_destroy(s), CUSFFT_SUCCESS);
   EXPECT_EQ(cusfft_destroy(nullptr), CUSFFT_SUCCESS);  // free(NULL) style
 }
 

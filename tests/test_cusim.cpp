@@ -3,8 +3,16 @@
 // overlap, and PCIe copies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <numeric>
+#include <set>
+#include <utility>
+#include <vector>
 
+#include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "cusim/device.hpp"
 #include "cusim/report.hpp"
 
@@ -393,6 +401,168 @@ TEST(WarpTracerUnit, StraddlingAccessCountsBothSegments) {
   tr.on_access(0, 120, 16, false);  // crosses the 128B boundary
   const WarpTotals t = tr.finalize();
   EXPECT_DOUBLE_EQ(t.coalesced_tx + t.random_tx, 2);
+}
+
+struct TraceRec {
+  u32 slot;
+  u64 addr;
+  u32 bytes;
+  bool atomic;
+};
+
+/// Brute-force statement of the Section IV.B rule: per slot, a std::set of
+/// the 128-byte segments its accesses touch, classified by its byte volume.
+WarpTotals reference_finalize(const std::vector<TraceRec>& recs) {
+  constexpr u64 kTx = 128;
+  std::map<u32, std::pair<std::set<u64>, double>> slots;
+  WarpTotals out;
+  for (const TraceRec& r : recs) {
+    auto& [segs, bytes] = slots[r.slot];
+    for (u64 s = r.addr / kTx; s <= (r.addr + r.bytes - 1) / kTx; ++s)
+      segs.insert(s);
+    bytes += r.bytes;
+    if (r.atomic) out.atomic_ops += 1;
+  }
+  for (const auto& [slot, v] : slots) {
+    const double tx = static_cast<double>(v.first.size());
+    const double min_tx = std::max(1.0, std::ceil(v.second / kTx));
+    out.useful_bytes += v.second;
+    (tx <= 2.0 * min_tx ? out.coalesced_tx : out.random_tx) += tx;
+  }
+  return out;
+}
+
+/// One random warp: per slot an access pattern (broadcast, coalesced,
+/// strided, scattered, or straddling 128-byte boundaries), lanes that
+/// diverge out of later slots, and a sprinkling of atomics. Records are
+/// emitted lane-major, the order a traced sweep produces.
+std::vector<TraceRec> random_warp(Rng& rng) {
+  const u32 slots = 1 + static_cast<u32>(rng.next_below(12));
+  const u32 sizes[] = {1, 4, 8, 16, 32, 200};
+  std::vector<u32> pattern(slots), bytes(slots);
+  std::vector<u64> base(slots), stride(slots);
+  for (u32 s = 0; s < slots; ++s) {
+    pattern[s] = static_cast<u32>(rng.next_below(5));
+    bytes[s] = sizes[rng.next_below(6)];
+    base[s] = (u64{1} << 20) * (s + 1) + rng.next_below(4096);
+    stride[s] = bytes[s] * (1 + rng.next_below(8));
+  }
+  std::vector<TraceRec> recs;
+  for (u32 lane = 0; lane < 32; ++lane) {
+    // Divergent lanes run only a prefix of the slots.
+    const u32 active = rng.next_below(4) == 0
+                           ? static_cast<u32>(rng.next_below(slots + 1))
+                           : slots;
+    for (u32 s = 0; s < active; ++s) {
+      u64 addr = base[s];
+      switch (pattern[s]) {
+        case 0: break;                                   // broadcast
+        case 1: addr += u64{lane} * bytes[s]; break;     // coalesced
+        case 2: addr += u64{lane} * stride[s]; break;    // strided
+        case 3: addr += rng.next_below(1 << 16); break;  // scattered
+        default: addr += 120 + u64{lane} * 128; break;   // straddling
+      }
+      recs.push_back({s, addr, bytes[s], rng.next_below(8) == 0});
+    }
+  }
+  return recs;
+}
+
+TEST(WarpTracerUnit, FinalizeMatchesBruteForceReference) {
+  LaunchArena arena;
+  WarpTracer tr;
+  tr.reset(128, &arena);
+  Rng rng(20160523);
+  for (int warp = 0; warp < 2000; ++warp) {
+    const std::vector<TraceRec> recs = random_warp(rng);
+    tr.clear();
+    for (const TraceRec& r : recs)
+      tr.on_access(r.slot, r.addr, r.bytes, r.atomic);
+    const WarpTotals got = tr.finalize();
+    const WarpTotals want = reference_finalize(recs);
+    ASSERT_EQ(got.coalesced_tx, want.coalesced_tx) << "warp " << warp;
+    ASSERT_EQ(got.random_tx, want.random_tx) << "warp " << warp;
+    ASSERT_EQ(got.useful_bytes, want.useful_bytes) << "warp " << warp;
+    ASSERT_EQ(got.atomic_ops, want.atomic_ops) << "warp " << warp;
+  }
+}
+
+TEST(WarpTracerUnit, WideWarpGrowsSegmentSetAndForgetsPreviousWarp) {
+  LaunchArena arena;
+  WarpTracer tr;
+  tr.reset(128, &arena);
+  // 64 slots x 32 lanes, every access in its own segment: far more
+  // (slot, segment) pairs than the set starts with.
+  std::vector<TraceRec> wide;
+  for (u32 lane = 0; lane < 32; ++lane)
+    for (u32 s = 0; s < 64; ++s)
+      wide.push_back({s, (u64{s} * 32 + lane) * 4096, 8, false});
+  for (int rep = 0; rep < 3; ++rep) {
+    tr.clear();
+    for (const TraceRec& r : wide)
+      tr.on_access(r.slot, r.addr, r.bytes, r.atomic);
+    const WarpTotals t = tr.finalize();
+    // Segments seen by the previous warp must not count as present.
+    EXPECT_EQ(t.random_tx, 64.0 * 32) << "rep " << rep;
+    EXPECT_EQ(t.coalesced_tx, 0.0);
+  }
+}
+
+TEST(AtomicConflictTableUnit, GrowsPastInitialCapacityAndMerges) {
+  AtomicConflictTable a, b;
+  const std::size_t distinct = 3 * AtomicConflictTable::kInitialCapacity;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    a.add(i * 8, 1 + static_cast<u32>(i % 5));
+    b.add(i * 8);
+  }
+  EXPECT_EQ(a.size(), distinct);
+  EXPECT_GT(a.capacity(), AtomicConflictTable::kInitialCapacity);
+  EXPECT_EQ(a.max(), 5u);
+  a.absorb(b);
+  EXPECT_EQ(a.size(), distinct);
+  EXPECT_EQ(a.max(), 6u);
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.max(), 0u);
+  a.clear();
+  EXPECT_EQ(a.max(), 0u);
+  a.add(16);
+  EXPECT_EQ(a.max(), 1u);
+}
+
+TEST(Device, ManyAtomicAddressesExactConflictOnBothSweeps) {
+  // More distinct atomic addresses than the conflict table's initial
+  // capacity, with a skewed histogram, traced exactly: the deepest chain
+  // must match a host histogram and agree between the sequential and the
+  // block-parallel sweep.
+  constexpr std::size_t kThreads = 1 << 15;
+  constexpr std::size_t kCells = 3 * AtomicConflictTable::kInitialCapacity;
+  auto cell = [](u64 i) { return (i * i * 2654435761u) % kCells; };
+  std::vector<u32> hist(kCells, 0);
+  for (u64 i = 0; i < kThreads; ++i) ++hist[cell(i)];
+  const u32 deepest = *std::max_element(hist.begin(), hist.end());
+
+  auto run = [&](bool parallel) {
+    ThreadPool pool(4);
+    Device dev;
+    dev.set_parallel(parallel);
+    dev.set_pool(&pool);
+    dev.set_max_traced_warps(1 << 20);
+    dev.begin_capture();
+    DeviceBuffer<u32> counts(kCells);
+    dev.launch(LaunchCfg::for_elements("scatter_atomics", kThreads),
+               [&](ThreadCtx& t) {
+                 counts.atomic_add(t, cell(t.global_id()), u32{1});
+               });
+    EXPECT_TRUE(std::equal(hist.begin(), hist.end(), counts.host().begin()));
+    return dev.report().at("scatter_atomics").counters;
+  };
+  const auto seq = run(false);
+  const auto par = run(true);
+  EXPECT_EQ(seq.max_atomic_conflict, static_cast<double>(deepest));
+  EXPECT_EQ(par.max_atomic_conflict, seq.max_atomic_conflict);
+  EXPECT_EQ(par.atomic_ops, seq.atomic_ops);
+  EXPECT_EQ(par.coalesced_transactions, seq.coalesced_transactions);
+  EXPECT_EQ(par.random_transactions, seq.random_transactions);
 }
 
 

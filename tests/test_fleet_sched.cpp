@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "cusfft/cluster_plan.hpp"
 #include "cusfft/multi_plan.hpp"
 #include "cusfft/plan.hpp"
+#include "cusim/cluster.hpp"
 #include "cusim/device.hpp"
 #include "cusim/device_group.hpp"
 #include "cusim/timeline.hpp"
@@ -317,6 +319,50 @@ TEST(FleetSched, MixedShapeBitIdenticalToPerSignalSingleDevice) {
     DeviceGroup skewed({perfmodel::GpuSpec::k20x(), half_rate_k20x()});
     check_fleet(skewed, "heterogeneous fleet");
   }
+}
+
+// ---- golden LPT placement ---------------------------------------------
+
+TEST(FleetSched, GoldenShardAndNodeAssignment) {
+  // Literal assignment vectors of the cost-model LPT pass, pinned so any
+  // rewrite of the placement loop (sort stability, strict-< ties, the
+  // NIC surcharge on a remote node's first signal) must reproduce them.
+  const gpu::Options opts = gpu::Options::optimized();
+  const sfft::Params big = make_params(1 << 13, 16, 1);
+  const sfft::Params mid = make_params(1 << 12, 8, 2);
+  const sfft::Params small = make_params(1 << 10, 4, 3);
+  using Assign = std::vector<std::size_t>;
+
+  // Heterogeneous pair, mixed shapes with repeated (equal-cost) entries.
+  DeviceGroup hetero({perfmodel::GpuSpec::k20x(), half_rate_k20x()});
+  gpu::MultiGpuPlan mplan(hetero, small, opts);
+  const std::vector<sfft::Params> fleet_batch = {
+      small, big, mid, small, big, small, mid, mid, small, big, small};
+  EXPECT_EQ(mplan.shard_assignment(fleet_batch),
+            (Assign{0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1}));
+  // Uniform and longer than 16 signals: every cost ties, so an unstable
+  // sort would change which signal lands where.
+  EXPECT_EQ(mplan.shard_assignment(20),
+            (Assign{0, 1, 0, 0, 1, 0, 0, 1, 0, 0,
+                    1, 0, 0, 1, 0, 0, 1, 0, 0, 1}));
+
+  // Cluster node split: a remote node pays NIC staging on its first
+  // signal, the head node never does; a 3 Gbit/s fabric makes that
+  // surcharge decide placements (at the default 100 Gbit/s it does not).
+  const std::vector<sfft::Params> cluster_batch = {
+      mid, small, big, small, small, mid, big, small, small};
+  cusim::Cluster c22(2, 2);
+  EXPECT_EQ(gpu::ClusterPlan(c22, big, opts).node_assignment(cluster_batch),
+            (Assign{0, 0, 0, 1, 0, 1, 1, 1, 0}));
+  cusim::Cluster c31(3, 1);
+  EXPECT_EQ(gpu::ClusterPlan(c31, big, opts).node_assignment(cluster_batch),
+            (Assign{2, 0, 0, 1, 0, 2, 1, 1, 2}));
+  c22.set_nic(cusim::NicModel::FromGbps(3));
+  c31.set_nic(cusim::NicModel::FromGbps(3));
+  EXPECT_EQ(gpu::ClusterPlan(c22, big, opts).node_assignment(cluster_batch),
+            (Assign{0, 0, 0, 0, 1, 1, 1, 0, 1}));
+  EXPECT_EQ(gpu::ClusterPlan(c31, big, opts).node_assignment(cluster_batch),
+            (Assign{2, 2, 0, 1, 2, 0, 1, 0, 1}));
 }
 
 TEST(FleetSched, LptSplitsSkewedBatchBetterThanUnitGreedy) {

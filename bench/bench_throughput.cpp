@@ -535,11 +535,10 @@ int main(int argc, char** argv) {
   bool mixed_identical = true;
   if (o.mixed) {
     // Mixed-shape fleet sweep: a skewed batch (expensive shape on even
-    // indices, cheap shape on odd) A/B'd across {unit-greedy, cost-LPT}
-    // x {unlimited, round-robin staging}. The skew is adversarial for the
-    // legacy scheduler: unit-greedy's round-robin lands every expensive
-    // signal on device 0 while cost-LPT splits them by modeled cost.
-    // Transfers are modeled so the staging policies have copies to stage.
+    // indices, cheap shape on odd) A/B'd across {unlimited, round-robin}
+    // PCIe staging; cost-LPT splits the expensive signals by modeled
+    // cost. Transfers are modeled so the staging policies have copies to
+    // stage.
     gpu::Options mopts = opts;
     mopts.include_transfer = true;
     const std::size_t n_big = n, k_big = k;
@@ -579,25 +578,18 @@ int main(int argc, char** argv) {
 
     struct Cfg {
       const char* name;
-      gpu::ShardPolicy pol;
       cusim::PcieStaging st;
     };
     const Cfg cfgs[] = {
-        {"mixed_greedy_unlimited", gpu::ShardPolicy::kUnitGreedy,
-         cusim::PcieStaging::Unlimited()},
-        {"mixed_greedy_staged", gpu::ShardPolicy::kUnitGreedy,
-         cusim::PcieStaging::RoundRobin()},
-        {"mixed_lpt_unlimited", gpu::ShardPolicy::kCostLpt,
-         cusim::PcieStaging::Unlimited()},
-        {"mixed_lpt_staged", gpu::ShardPolicy::kCostLpt,
-         cusim::PcieStaging::RoundRobin()},
+        {"mixed_lpt_unlimited", cusim::PcieStaging::Unlimited()},
+        {"mixed_lpt_staged", cusim::PcieStaging::RoundRobin()},
     };
-    double greedy_unlim_ms = 0, lpt_staged_ms = 0;
-    for (const Cfg& cfg : cfgs) {
+    double model_ms[2] = {};
+    for (std::size_t c = 0; c < 2; ++c) {
+      const Cfg& cfg = cfgs[c];
       cusim::DeviceGroup group(o.devices);
       group.set_staging(cfg.st);
       gpu::MultiGpuPlan mplan(group, p_big, mopts);
-      mplan.set_shard_policy(cfg.pol);
       WallTimer wall;
       gpu::GpuFleetStats fs;
       const auto got =
@@ -608,21 +600,15 @@ int main(int argc, char** argv) {
                   "stall %7.3f ms  queue %7.3f ms  [%s]\n",
                   cfg.name, fs.model_ms, fs.imbalance, fs.pcie_stall_ms,
                   fs.pcie_queue_ms, fs.staging.c_str());
-      if (cfg.pol == gpu::ShardPolicy::kUnitGreedy &&
-          cfg.st.kind == cusim::PcieStaging::Kind::kUnlimited)
-        greedy_unlim_ms = fs.model_ms;
-      if (cfg.pol == gpu::ShardPolicy::kCostLpt &&
-          cfg.st.kind == cusim::PcieStaging::Kind::kRoundRobin) {
-        lpt_staged_ms = fs.model_ms;
-        if (!o.profile.empty())
-          write_profile_artifact(group.end_capture(), o.profile);
-      }
+      model_ms[c] = fs.model_ms;
+      if (c == 1 && !o.profile.empty())
+        write_profile_artifact(group.end_capture(), o.profile);
     }
     std::printf(
-        "mixed fleet: LPT+staging %.3f ms vs unit-greedy+unlimited %.3f ms "
-        "(%.2fx), spectra %s\n",
-        lpt_staged_ms, greedy_unlim_ms,
-        lpt_staged_ms > 0 ? greedy_unlim_ms / lpt_staged_ms : 0.0,
+        "mixed fleet: staged %.3f ms vs unlimited %.3f ms (%.2fx), "
+        "spectra %s\n",
+        model_ms[1], model_ms[0],
+        model_ms[1] > 0 ? model_ms[0] / model_ms[1] : 0.0,
         mixed_identical ? "bit-identical" : "MISMATCH");
   }
 

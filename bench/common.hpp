@@ -53,8 +53,7 @@ struct BenchOpts {
   /// when given. Env CUSFFT_NIC_GBPS / --nic-gbps.
   double nic_gbps = 0;
   /// bench_throughput: add the mixed-shape fleet sweep (skewed per-signal
-  /// shapes, LPT-vs-unit-greedy and staging A/B). Env CUSFFT_MIXED /
-  /// --mixed.
+  /// shapes, PCIe staging A/B). Env CUSFFT_MIXED / --mixed.
   bool mixed = false;
   std::string out_dir = "bench_results";
   /// When non-empty, the bench writes a chrome-trace profile artifact of

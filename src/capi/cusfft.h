@@ -125,18 +125,7 @@ cusfft_status cusfft_set_pcie_staging(cusfft_handle h,
                                       cusfft_pcie_staging policy,
                                       size_t max_inflight);
 
-/* How the fleet assigns signals to devices. COST_LPT (the default):
- * per-signal analytic cost model, longest-processing-time-first.
- * UNIT_GREEDY: the legacy uniform 1/mem_bandwidth weighting (every
- * signal costs the same). Takes effect on the next execute. CPU
- * backends accept and ignore the call. */
-typedef enum {
-  CUSFFT_SHARD_COST_LPT = 0,
-  CUSFFT_SHARD_UNIT_GREEDY = 1
-} cusfft_shard_policy;
-
-cusfft_status cusfft_set_shard_policy(cusfft_handle h,
-                                      cusfft_shard_policy policy);
+/* Signals always shard by the per-signal cost model, LPT-first. */
 
 /* Fleet-level modeled timing of the most recent execute/execute_many on
  * a GPU backend (whatever the device count — a single device reports
@@ -155,8 +144,8 @@ typedef struct {
 cusfft_status cusfft_get_fleet_stats(cusfft_handle h,
                                      cusfft_fleet_stats* out);
 
-/* Per-device utilization of the last run: device `device`'s finish time
- * over the fleet makespan (0 for a device that received no signals).
+/* Per-device utilization of the last run: the share of the makespan
+ * device `device` had a kernel resident (0 for an idle device).
  * CUSFFT_INVALID_ARGUMENT when out of range or no run yet. */
 cusfft_status cusfft_get_device_utilization(cusfft_handle h, size_t device,
                                             double* utilization);

@@ -14,12 +14,10 @@
 #include "core/types.hpp"
 #include "cusfft/autopick.hpp"
 #include "cusfft/cluster_plan.hpp"
-#include "cusfft/multi_plan.hpp"
 #include "cusfft/plan.hpp"
 #include "cusim/cluster.hpp"
 #include "cusfft/server.hpp"
 #include "cusim/device.hpp"
-#include "cusim/device_group.hpp"
 #include "cusim/metrics.hpp"
 #include "cusim/profiler.hpp"
 #include "psfft/psfft.hpp"
@@ -27,8 +25,9 @@
 #include "sfft/serial.hpp"
 
 /// Owns whichever backend the plan was created for. The GPU backends own
-/// their simulated device (or device fleet, cusfft_set_device_count);
-/// PsFFT shares the process-wide thread pool.
+/// their simulated device, or their cluster of nodes x devices
+/// (cusfft_set_node_count x cusfft_set_device_count); PsFFT shares the
+/// process-wide thread pool.
 struct cusfft_plan_t {
   cusfft::sfft::Params params;
   cusfft_backend backend = CUSFFT_BACKEND_SERIAL;
@@ -36,18 +35,16 @@ struct cusfft_plan_t {
   size_t device_count = 1;  // cusfft_set_device_count; GPU backends only
   size_t node_count = 1;    // cusfft_set_node_count; GPU backends only
   cusfft::cusim::PcieStaging staging;  // cusfft_set_pcie_staging
-  cusfft::gpu::ShardPolicy shard_policy =
-      cusfft::gpu::ShardPolicy::kCostLpt;  // cusfft_set_shard_policy
 
   std::unique_ptr<cusfft::sfft::SerialPlan> serial;
   std::unique_ptr<cusfft::sfft::FfastPlan> ffast;  // CPU backends, algo FFAST
   std::unique_ptr<cusfft::psfft::PsfftPlan> psfft;
   std::unique_ptr<cusfft::cusim::Device> device;
   std::unique_ptr<cusfft::gpu::GpuPlan> gpu;
-  std::unique_ptr<cusfft::cusim::DeviceGroup> group;  // device_count > 1
-  std::unique_ptr<cusfft::gpu::MultiGpuPlan> multi;   // device_count > 1
-  std::unique_ptr<cusfft::cusim::Cluster> cluster;    // node_count > 1
-  std::unique_ptr<cusfft::gpu::ClusterPlan> cplan;    // node_count > 1
+  // More than one device or node: one ClusterPlan over nodes x devices
+  // (a single node is the plain device fleet).
+  std::unique_ptr<cusfft::cusim::Cluster> cluster;
+  std::unique_ptr<cusfft::gpu::ClusterPlan> cplan;
 
   /// Capture profile of the most recent GPU execute/execute_many (null
   /// until then, and for CPU backends).
@@ -61,9 +58,7 @@ struct cusfft_plan_t {
   /// fleet profile (one trace track group per device) under sharding.
   void collect_profile() {
     profile = std::make_unique<cusfft::cusim::CaptureProfile>(
-        cplan != nullptr ? cluster->end_capture()
-        : multi != nullptr ? group->end_capture()
-                           : device->end_capture());
+        cplan != nullptr ? cluster->end_capture() : device->end_capture());
   }
 
   /// Degrades a single-device batch's stats to the fleet shape so
@@ -89,8 +84,6 @@ struct cusfft_plan_t {
       ffast.reset();
       psfft.reset();
       gpu.reset();
-      multi.reset();
-      group.reset();
       cplan.reset();
       cluster.reset();
       device.reset();
@@ -123,27 +116,19 @@ struct cusfft_plan_t {
           const auto opts = backend == CUSFFT_BACKEND_GPU_OPTIMIZED
                                 ? cusfft::gpu::Options::optimized()
                                 : cusfft::gpu::Options::baseline();
-          if (node_count > 1) {
+          if (device_count > 1 || node_count > 1) {
             cluster = std::make_unique<cusfft::cusim::Cluster>(node_count,
                                                                device_count);
             cluster->set_staging(staging);
             cplan = std::make_unique<cusfft::gpu::ClusterPlan>(
                 *cluster, params, opts);
-            cplan->set_shard_policy(shard_policy);
-          } else if (device_count > 1) {
-            group =
-                std::make_unique<cusfft::cusim::DeviceGroup>(device_count);
-            group->set_staging(staging);
-            multi = std::make_unique<cusfft::gpu::MultiGpuPlan>(
-                *group, params, opts);
-            multi->set_shard_policy(shard_policy);
           } else {
             device = std::make_unique<cusfft::cusim::Device>();
             // resolve_algorithm applies the CUSFFT_ALGO override and
             // sends kAuto through the picker (GpuPlan itself refuses
             // unresolved kAuto); malformed env values throw
             // invalid_argument -> CUSFFT_INVALID_ARGUMENT below. The
-            // multi/cluster paths instead resolve per signal inside
+            // cluster path instead resolves per signal inside
             // execute_mixed.
             auto resolved = params;
             resolved.algo = cusfft::gpu::resolve_algorithm(
@@ -259,20 +244,15 @@ cusfft_status cusfft_execute(cusfft_handle h, const double* input,
                                 : h->psfft->execute(x);
         break;
       default:
-        if (h->cplan != nullptr || h->multi != nullptr) {
-          // Route the single signal through the fleet/cluster (it lands
-          // on the cheapest device; the others idle in the merged
-          // timeline).
+        if (h->cplan != nullptr) {
+          // Route the single signal through the cluster (it lands on the
+          // cheapest device; the others idle in the merged timeline).
           const std::span<const cusfft::cplx> one[] = {x};
           h->fleet = std::make_unique<cusfft::gpu::GpuFleetStats>();
           const auto mode = h->batch_pipeline != 0
                                 ? cusfft::gpu::BatchMode::kAuto
                                 : cusfft::gpu::BatchMode::kSerialized;
-          auto results =
-              h->cplan != nullptr
-                  ? h->cplan->execute_many(one, h->fleet.get(), mode)
-                  : h->multi->execute_many(one, h->fleet.get(), mode);
-          s = std::move(results[0]);
+          s = std::move(h->cplan->execute_many(one, h->fleet.get(), mode)[0]);
         } else {
           cusfft::gpu::GpuExecStats est;
           s = h->gpu->execute(x, &est);
@@ -331,9 +311,6 @@ cusfft_status cusfft_execute_many(cusfft_handle h, const double* inputs,
         if (h->cplan != nullptr) {
           h->fleet = std::make_unique<cusfft::gpu::GpuFleetStats>();
           results = h->cplan->execute_many(xs, h->fleet.get(), mode);
-        } else if (h->multi != nullptr) {
-          h->fleet = std::make_unique<cusfft::gpu::GpuFleetStats>();
-          results = h->multi->execute_many(xs, h->fleet.get(), mode);
         } else {
           cusfft::gpu::GpuBatchStats bst;
           results = h->gpu->execute_many(xs, &bst, mode);
@@ -422,27 +399,7 @@ cusfft_status cusfft_set_pcie_staging(cusfft_handle h,
       return CUSFFT_INVALID_ARGUMENT;
   }
   h->staging = s;
-  if (h->group != nullptr) h->group->set_staging(s);
   if (h->cluster != nullptr) h->cluster->set_staging(s);
-  return CUSFFT_SUCCESS;
-}
-
-cusfft_status cusfft_set_shard_policy(cusfft_handle h,
-                                      cusfft_shard_policy policy) {
-  if (h == nullptr || !valid_enum(policy, CUSFFT_SHARD_UNIT_GREEDY))
-    return CUSFFT_INVALID_ARGUMENT;
-  switch (policy) {
-    case CUSFFT_SHARD_COST_LPT:
-      h->shard_policy = cusfft::gpu::ShardPolicy::kCostLpt;
-      break;
-    case CUSFFT_SHARD_UNIT_GREEDY:
-      h->shard_policy = cusfft::gpu::ShardPolicy::kUnitGreedy;
-      break;
-    default:
-      return CUSFFT_INVALID_ARGUMENT;
-  }
-  if (h->multi != nullptr) h->multi->set_shard_policy(h->shard_policy);
-  if (h->cplan != nullptr) h->cplan->set_shard_policy(h->shard_policy);
   return CUSFFT_SUCCESS;
 }
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "core/rng.hpp"
 #include "core/timer.hpp"
+#include "cusfft/sharding.hpp"
 #include "cusim/metrics.hpp"
 #include "fft/fft.hpp"
 #include "sfft/steps.hpp"
@@ -43,13 +43,51 @@ double node_signal_cost_s(const sfft::Params& p,
          launches * spec.kernel_launch_overhead_s;
 }
 
+/// Folds a merged cluster schedule into fresh stats: makespan, topology,
+/// NIC totals, and per node its devices (fold_devices over the
+/// cluster-shifted node schedule; shards[m] supplies their signals and
+/// solo_ms) plus one GpuNodeShardStats of node_signals[m] signals. The
+/// per-signal fields and the imbalance stay with the caller.
+GpuFleetStats fold_cluster(const cusim::Cluster& cluster,
+                           const cusim::ClusterSchedule& cs,
+                           std::vector<std::vector<GpuDeviceShardStats>> shards,
+                           const std::vector<std::size_t>& node_signals) {
+  GpuFleetStats st;
+  st.model_ms = cs.makespan_s * 1e3;
+  st.devices = cluster.devices();
+  st.nodes = cluster.nodes();
+  st.staging = cluster.staging().name();
+  st.nic_transfers = cs.nic.size();
+  st.nic_bytes = cs.nic_bytes;
+  for (const cusim::NicSpan& s : cs.nic)
+    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
+  for (std::size_t m = 0; m < cluster.nodes(); ++m) {
+    const cusim::DeviceGroup& g = cluster.node(m);
+    const double util_sum =
+        fold_devices(g, cs.node_fleet[m], std::move(shards[m]), st);
+    GpuNodeShardStats ns;
+    ns.devices = g.size();
+    ns.signals = node_signals[m];
+    ns.model_ms = cs.node_finish_s[m] * 1e3;
+    ns.offset_ms = cs.node_offset_s[m] * 1e3;
+    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
+    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
+    for (const cusim::NicSpan& s : cs.nic)
+      if (s.node == m) ns.nic_bytes += s.bytes;
+    ns.utilization = g.size() > 0 ? util_sum / g.size() : 0.0;
+    st.nic_stall_ms += ns.nic_stall_ms;
+    st.nic_queue_ms += ns.nic_queue_ms;
+    st.per_node.push_back(std::move(ns));
+  }
+  return st;
+}
+
 }  // namespace
 
 struct ClusterPlan::Impl {
   cusim::Cluster* cluster = nullptr;
   sfft::Params params;
   Options opts;
-  ShardPolicy policy = ShardPolicy::kCostLpt;
   // One MultiGpuPlan per node, built on the first batch execution — the
   // slab path drives the devices directly and must stay usable when the
   // full batch plan would not fit device memory (the oversized demo).
@@ -58,11 +96,9 @@ struct ClusterPlan::Impl {
 
   void ensure_node_plans() {
     if (!node_plans.empty()) return;
-    for (std::size_t m = 0; m < cluster->nodes(); ++m) {
+    for (std::size_t m = 0; m < cluster->nodes(); ++m)
       node_plans.push_back(
           std::make_unique<MultiGpuPlan>(cluster->node(m), params, opts));
-      node_plans.back()->set_shard_policy(policy);
-    }
   }
 };
 
@@ -88,60 +124,29 @@ std::size_t ClusterPlan::devices() const { return impl_->cluster->devices(); }
 cusim::Cluster& ClusterPlan::cluster() { return *impl_->cluster; }
 const sfft::Params& ClusterPlan::params() const { return impl_->params; }
 
-void ClusterPlan::set_shard_policy(ShardPolicy p) {
-  impl_->policy = p;
-  for (auto& np : impl_->node_plans) np->set_shard_policy(p);
-}
-ShardPolicy ClusterPlan::shard_policy() const { return impl_->policy; }
-
 std::vector<std::size_t> ClusterPlan::node_assignment(
     std::span<const sfft::Params> shapes) const {
   const std::size_t M = impl_->cluster->nodes();
   const std::size_t batch = shapes.size();
-  std::vector<std::size_t> out(batch, 0);
-  if (M <= 1) return out;
 
-  // Per-node signal cost: the PR 5 per-device analytic cost divided by
-  // the node's device count (its MultiGpuPlan spreads the shard). The
-  // NIC staging term applies everywhere but the head node (node 0 is
-  // co-located with the data) — and only to a node's *first* signal:
-  // the simulation starts a node's compute at its first ingress's
-  // arrival, every later ingress overlaps compute.
-  std::vector<std::vector<double>> cost(batch, std::vector<double>(M));
+  // Per-node signal cost: the per-device analytic cost divided by the
+  // node's device count (its MultiGpuPlan spreads the shard). The NIC
+  // staging surcharge applies everywhere but the head node (node 0 is
+  // co-located with the data) — and only to a node's *first* signal: the
+  // simulation starts a node's compute at its first ingress's arrival,
+  // every later ingress overlaps compute.
+  CostMatrix cost(batch, std::vector<double>(M));
+  CostMatrix surcharge(batch, std::vector<double>(M, 0.0));
   for (std::size_t i = 0; i < batch; ++i)
     for (std::size_t m = 0; m < M; ++m) {
       const cusim::DeviceGroup& g = impl_->cluster->node(m);
       cost[i][m] = node_signal_cost_s(
                        shapes[i], g.device(0).spec(), impl_->opts) /
                    static_cast<double>(g.size());
+      if (m > 0)
+        surcharge[i][m] = nic_stage_cost_s(shapes[i].n, impl_->cluster->nic());
     }
-  // LPT, same discipline as the device-level pass: most expensive first
-  // by the head-node reference cost (stable, so uniform batches keep
-  // input order), placed onto the node with the smallest projected
-  // finish, strict ties to the lowest node.
-  std::vector<std::size_t> order(batch);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return cost[a][0] > cost[b][0];
-                   });
-  std::vector<double> load(M, 0.0);
-  std::vector<bool> opened(M, false);
-  for (const std::size_t i : order) {
-    auto projected = [&](std::size_t m) {
-      double c = load[m] + cost[i][m];
-      if (m > 0 && !opened[m])
-        c += nic_stage_cost_s(shapes[i].n, impl_->cluster->nic());
-      return c;
-    };
-    std::size_t best = 0;
-    for (std::size_t m = 1; m < M; ++m)
-      if (projected(m) < projected(best)) best = m;
-    out[i] = best;
-    load[best] = projected(best);
-    opened[best] = true;
-  }
-  return out;
+  return lpt_assignment(cost, surcharge);
 }
 
 std::vector<SparseSpectrum> ClusterPlan::execute_many(
@@ -203,73 +208,31 @@ std::vector<SparseSpectrum> ClusterPlan::execute_mixed(
 
   cusim::ClusterSchedule cs = cluster.simulate();
 
-  GpuFleetStats st;
-  st.model_ms = cs.makespan_s * 1e3;
+  std::vector<std::vector<GpuDeviceShardStats>> shards(M);
+  std::vector<std::size_t> node_signals(M);
+  for (std::size_t m = 0; m < M; ++m) {
+    shards[m] = std::move(node_fs[m].per_device);  // empty on idle nodes
+    node_signals[m] = node_sigs[m].size();
+  }
+  GpuFleetStats st = fold_cluster(cluster, cs, std::move(shards), node_signals);
   st.host_ms = host_ms;
   st.signals = batch;
-  st.devices = cluster.devices();
-  st.nodes = M;
-  st.staging = cluster.staging().name();
   st.node_of = assign;
   st.device_of.assign(batch, 0);
   st.per_signal.resize(batch);
-  st.nic_transfers = cs.nic.size();
-  st.nic_bytes = cs.nic_bytes;
-  for (const cusim::NicSpan& s : cs.nic)
-    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
-
-  double finish_sum = 0, finish_max = 0;
-  std::size_t busy_nodes = 0;
   for (std::size_t m = 0; m < M; ++m) {
-    const cusim::DeviceGroup& g = cluster.node(m);
-    const cusim::FleetSchedule& f = cs.node_fleet[m];
     const GpuFleetStats& fs = node_fs[m];
-    const bool ran = !node_sigs[m].empty();
     for (std::size_t j = 0; j < node_sigs[m].size(); ++j) {
       const std::size_t i = node_sigs[m][j];
       st.device_of[i] = impl_->base[m] + fs.device_of[j];
       st.per_signal[i] = fs.per_signal[j];
       st.candidates += st.per_signal[i].candidates;
     }
-    st.pipelined = st.pipelined || (ran && fs.pipelined);
-    double busy_sum = 0;
-    for (std::size_t d = 0; d < g.size(); ++d) {
-      GpuDeviceShardStats ds;
-      ds.device = g.device(d).spec().name;
-      ds.signals = ran ? fs.per_device[d].signals : 0;
-      ds.model_ms = f.finish_s[d] * 1e3;
-      ds.solo_ms = ran ? fs.per_device[d].solo_ms : 0.0;
-      ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
-      ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
-      if (st.model_ms > 0) ds.utilization = f.busy_s[d] * 1e3 / st.model_ms;
-      busy_sum += ds.utilization;
-      st.pcie_stall_ms += ds.pcie_stall_ms;
-      st.pcie_queue_ms += ds.pcie_queue_ms;
-      st.per_device.push_back(std::move(ds));
-    }
-    GpuNodeShardStats ns;
-    ns.devices = g.size();
-    ns.signals = node_sigs[m].size();
-    ns.model_ms = cs.node_finish_s[m] * 1e3;
-    ns.offset_ms = cs.node_offset_s[m] * 1e3;
-    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
-    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
-    for (const cusim::NicSpan& s : cs.nic)
-      if (s.node == m) ns.nic_bytes += s.bytes;
-    ns.utilization = g.size() > 0 ? busy_sum / g.size() : 0.0;
-    st.nic_stall_ms += ns.nic_stall_ms;
-    st.nic_queue_ms += ns.nic_queue_ms;
-    if (ran) {
-      finish_sum += ns.model_ms;
-      finish_max = std::max(finish_max, ns.model_ms);
-      ++busy_nodes;
-    }
-    st.per_node.push_back(std::move(ns));
+    st.pipelined = st.pipelined || fs.pipelined;
   }
   // Node-level imbalance: the device split inside each node is already
   // reported by that node's own fleet stats.
-  if (busy_nodes > 0 && finish_sum > 0)
-    st.imbalance = finish_max / (finish_sum / busy_nodes);
+  st.imbalance = imbalance_of(st.per_node, /*count_idle=*/false);
 
   st.to_cluster_metrics(cusim::MetricsRegistry::global());
   if (stats != nullptr) *stats = std::move(st);
@@ -491,59 +454,24 @@ SparseSpectrum ClusterPlan::execute_slab(std::span<const cplx> x,
 
   cusim::ClusterSchedule cs = cluster.simulate();
 
-  GpuFleetStats st;
-  st.model_ms = cs.makespan_s * 1e3;
+  // The spectrum materializes on the head node's first device; every
+  // node's slab counts toward the imbalance.
+  std::vector<std::vector<GpuDeviceShardStats>> shards(M);
+  shards[0].resize(1);
+  shards[0][0].signals = 1;
+  std::vector<std::size_t> node_signals(M, 0);
+  node_signals[0] = 1;
+  GpuFleetStats st = fold_cluster(cluster, cs, std::move(shards), node_signals);
   st.host_ms = host_ms;
   st.signals = 1;
   st.candidates = out.size();
-  st.devices = cluster.devices();
-  st.nodes = M;
-  st.staging = cluster.staging().name();
-  st.node_of = {0};  // the spectrum materializes on the head node
+  st.node_of = {0};
   st.device_of = {impl_->base[0]};
   st.per_signal.resize(1);
   st.per_signal[0].start_ms = 0;
   st.per_signal[0].end_ms = st.model_ms;
   st.per_signal[0].candidates = out.size();
-  st.nic_transfers = cs.nic.size();
-  st.nic_bytes = cs.nic_bytes;
-  for (const cusim::NicSpan& s : cs.nic)
-    st.nic_transfer_ms += (s.finish_s - s.start_s) * 1e3;
-  double finish_sum = 0, finish_max = 0;
-  for (std::size_t m = 0; m < M; ++m) {
-    const cusim::DeviceGroup& g = cluster.node(m);
-    const cusim::FleetSchedule& f = cs.node_fleet[m];
-    double busy_sum = 0;
-    for (std::size_t d = 0; d < g.size(); ++d) {
-      GpuDeviceShardStats ds;
-      ds.device = g.device(d).spec().name;
-      ds.signals = (m == 0 && d == 0) ? 1 : 0;
-      ds.model_ms = f.finish_s[d] * 1e3;
-      ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
-      ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
-      if (st.model_ms > 0) ds.utilization = f.busy_s[d] * 1e3 / st.model_ms;
-      busy_sum += ds.utilization;
-      st.pcie_stall_ms += ds.pcie_stall_ms;
-      st.pcie_queue_ms += ds.pcie_queue_ms;
-      st.per_device.push_back(std::move(ds));
-    }
-    GpuNodeShardStats ns;
-    ns.devices = g.size();
-    ns.signals = m == 0 ? 1 : 0;
-    ns.model_ms = cs.node_finish_s[m] * 1e3;
-    ns.offset_ms = cs.node_offset_s[m] * 1e3;
-    ns.nic_stall_ms = cs.nic_stall_s[m] * 1e3;
-    ns.nic_queue_ms = cs.nic_queue_s[m] * 1e3;
-    for (const cusim::NicSpan& s : cs.nic)
-      if (s.node == m) ns.nic_bytes += s.bytes;
-    ns.utilization = g.size() > 0 ? busy_sum / g.size() : 0.0;
-    st.nic_stall_ms += ns.nic_stall_ms;
-    st.nic_queue_ms += ns.nic_queue_ms;
-    finish_sum += ns.model_ms;
-    finish_max = std::max(finish_max, ns.model_ms);
-    st.per_node.push_back(std::move(ns));
-  }
-  if (finish_sum > 0) st.imbalance = finish_max / (finish_sum / M);
+  st.imbalance = imbalance_of(st.per_node, /*count_idle=*/true);
   st.to_cluster_metrics(cusim::MetricsRegistry::global());
   if (stats != nullptr) *stats = std::move(st);
   return out;

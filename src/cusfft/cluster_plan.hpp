@@ -4,18 +4,17 @@
 //
 // Two execution shapes:
 //
-//   execute_many / execute_mixed — node-level sharding. The PR 5 cost
+//   execute_many / execute_mixed — node-level sharding. The fleet's cost
 //   model prices each signal per node (per-device analytic cost divided
 //   by the node's device count) plus a NIC staging term for every node
 //   except the head (node 0 is co-located with the data, so its shard
-//   pays no NIC). The LPT pass then reuses the fleet discipline across
-//   the node x device hierarchy: signals place onto the node with the
-//   smallest projected finish, and each node's MultiGpuPlan re-shards
-//   its slice across its own devices. Ingress staging is recorded as
-//   modeled NIC transfers overlapped with compute (a node starts after
-//   its *first* payload lands). At M = 1 every call delegates verbatim
-//   to the node's MultiGpuPlan — stats, artifacts, and spectra are the
-//   fleet's, bit for bit.
+//   pays no NIC). The fleet's LPT routine (sharding.hpp) then places
+//   signals onto the node with the smallest projected finish, and each
+//   node's MultiGpuPlan re-shards its slice across its own devices.
+//   Ingress staging is recorded as modeled NIC transfers overlapped with
+//   compute (a node starts after its *first* payload lands). At M = 1
+//   every call delegates verbatim to the node's MultiGpuPlan — stats,
+//   artifacts, and spectra are the fleet's, bit for bit.
 //
 //   execute_slab — one oversized signal, input-slice decomposition. The
 //   time-domain input splits into M contiguous slices; node m stages
@@ -43,7 +42,9 @@ namespace cusfft::gpu {
 
 class ClusterPlan {
  public:
-  /// One MultiGpuPlan per node (built serially, same shape/options).
+  /// Cheap: the per-node MultiGpuPlans (same shape/options) are built
+  /// on the first execute_many/execute_mixed, so execute_slab can drive
+  /// the devices of a cluster whose batch plan would not fit them.
   ClusterPlan(cusim::Cluster& cluster, sfft::Params params, Options opts);
   ~ClusterPlan();
   ClusterPlan(ClusterPlan&&) noexcept;
@@ -55,10 +56,6 @@ class ClusterPlan {
   std::size_t devices() const;  ///< total, across nodes
   cusim::Cluster& cluster();
   const sfft::Params& params() const;
-
-  /// Forwards to every node's MultiGpuPlan (intra-node assignment).
-  void set_shard_policy(ShardPolicy p);
-  ShardPolicy shard_policy() const;
 
   /// Node each signal runs on: per-node cost = per-device analytic cost
   /// / node device count + NIC staging term (0 on the head node), LPT

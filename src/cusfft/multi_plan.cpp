@@ -12,6 +12,7 @@
 
 #include "core/timer.hpp"
 #include "cusfft/autopick.hpp"
+#include "cusfft/sharding.hpp"
 #include "cusim/metrics.hpp"
 #include "sfft/ffast.hpp"
 #include "signal/filter.hpp"
@@ -138,6 +139,59 @@ double modeled_signal_cost_s(const sfft::Params& p,
   return cost;
 }
 
+std::vector<std::size_t> lpt_assignment(const CostMatrix& cost,
+                                        const CostMatrix& surcharge) {
+  const std::size_t batch = cost.size();
+  std::vector<std::size_t> out(batch, 0);
+  if (batch == 0) return out;
+  const std::size_t bins = cost[0].size();
+  std::vector<std::size_t> order(batch);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a][0] > cost[b][0];
+                   });
+  std::vector<double> load(bins, 0.0);
+  std::vector<char> opened(bins, 0);
+  for (const std::size_t i : order) {
+    auto projected = [&](std::size_t b) {
+      const bool charged = !surcharge.empty() && !opened[b];
+      return load[b] + cost[i][b] + (charged ? surcharge[i][b] : 0.0);
+    };
+    std::size_t best = 0;
+    for (std::size_t b = 1; b < bins; ++b)
+      if (projected(b) < projected(best)) best = b;  // strict: ties -> lowest
+    out[i] = best;
+    load[best] = projected(best);
+    opened[best] = 1;
+  }
+  return out;
+}
+
+double fold_devices(const cusim::DeviceGroup& g,
+                    const cusim::FleetSchedule& f,
+                    std::vector<GpuDeviceShardStats> shards,
+                    GpuFleetStats& st) {
+  shards.resize(g.size());
+  double util_sum = 0;
+  for (std::size_t d = 0; d < g.size(); ++d) {
+    GpuDeviceShardStats& ds = shards[d];
+    ds.device = g.device(d).spec().name;
+    ds.model_ms = f.finish_s[d] * 1e3;
+    ds.pcie_stall_ms = f.pcie_stall_s[d] * 1e3;
+    ds.pcie_queue_ms = f.pcie_queue_s[d] * 1e3;
+    // Busy fraction of the makespan (time >= 1 kernel resident): a device
+    // that finishes last but spent the window idling on PCIe reports low
+    // utilization, not ~1.0.
+    ds.utilization = st.model_ms > 0 ? f.busy_s[d] * 1e3 / st.model_ms : 0.0;
+    util_sum += ds.utilization;
+    st.pcie_stall_ms += ds.pcie_stall_ms;
+    st.pcie_queue_ms += ds.pcie_queue_ms;
+    st.per_device.push_back(std::move(ds));
+  }
+  return util_sum;
+}
+
 struct MultiGpuPlan::Impl {
   cusim::DeviceGroup* group = nullptr;
   sfft::Params params;      // as submitted (params() contract; may be kAuto)
@@ -145,9 +199,7 @@ struct MultiGpuPlan::Impl {
                             // defaulted to kCusfft — per-signal resolution
                             // in execute_mixed decides the real backend
   Options opts;
-  ShardPolicy policy = ShardPolicy::kCostLpt;
   std::vector<std::unique_ptr<GpuPlan>> plans;  // one per device, ctor shape
-  std::vector<double> weight;  // legacy kUnitGreedy per-device cost
   /// Mixed-shape plan cache: per device, one GpuPlan per distinct
   /// RESOLVED shape seen by execute_mixed (the ctor shape reuses
   /// `plans`). Built serially before shard threads fan out; shard
@@ -177,14 +229,9 @@ MultiGpuPlan::MultiGpuPlan(cusim::DeviceGroup& group, sfft::Params params,
     impl_->plan_shape.algo = sfft::Algorithm::kCusfft;
   impl_->opts = opts;
   impl_->cache.resize(group.size());
-  for (std::size_t d = 0; d < group.size(); ++d) {
+  for (std::size_t d = 0; d < group.size(); ++d)
     impl_->plans.push_back(
         std::make_unique<GpuPlan>(group.device(d), impl_->plan_shape, opts));
-    // Legacy kUnitGreedy weight: per-signal time scales with
-    // 1/mem_bandwidth, every signal costs the same.
-    const double bw = group.device(d).spec().mem_bandwidth_Bps;
-    impl_->weight.push_back(bw > 0 ? 1.0 / bw : 1.0);
-  }
 }
 
 MultiGpuPlan::~MultiGpuPlan() = default;
@@ -195,9 +242,6 @@ std::size_t MultiGpuPlan::devices() const { return impl_->plans.size(); }
 const sfft::Params& MultiGpuPlan::params() const { return impl_->params; }
 cusim::DeviceGroup& MultiGpuPlan::group() { return *impl_->group; }
 
-void MultiGpuPlan::set_shard_policy(ShardPolicy p) { impl_->policy = p; }
-ShardPolicy MultiGpuPlan::shard_policy() const { return impl_->policy; }
-
 std::vector<std::size_t> MultiGpuPlan::shard_assignment(
     std::size_t batch) const {
   const std::vector<sfft::Params> shapes(batch, impl_->params);
@@ -207,50 +251,12 @@ std::vector<std::size_t> MultiGpuPlan::shard_assignment(
 std::vector<std::size_t> MultiGpuPlan::shard_assignment(
     std::span<const sfft::Params> shapes) const {
   const std::size_t ndev = impl_->plans.size();
-  const std::size_t batch = shapes.size();
-  std::vector<std::size_t> out(batch, 0);
-  std::vector<double> load(ndev, 0.0);
-
-  if (impl_->policy == ShardPolicy::kUnitGreedy) {
-    // Legacy: input order, every signal costs the device's uniform
-    // weight whatever its shape.
-    for (std::size_t i = 0; i < batch; ++i) {
-      std::size_t best = 0;
-      for (std::size_t d = 1; d < ndev; ++d)
-        if (load[d] + impl_->weight[d] <
-            load[best] + impl_->weight[best])  // strict: ties -> lowest
-          best = d;
-      out[i] = best;
-      load[best] += impl_->weight[best];
-    }
-    return out;
-  }
-
-  // kCostLpt: price each signal on each device, then place in LPT order
-  // (most expensive first, by the device-0 reference cost; stable, so a
-  // uniform batch keeps input order and degrades to round-robin) onto
-  // the device with the smallest projected finish.
-  std::vector<std::vector<double>> cost(batch, std::vector<double>(ndev));
-  for (std::size_t i = 0; i < batch; ++i)
+  CostMatrix cost(shapes.size(), std::vector<double>(ndev));
+  for (std::size_t i = 0; i < shapes.size(); ++i)
     for (std::size_t d = 0; d < ndev; ++d)
       cost[i][d] = modeled_signal_cost_s(
           shapes[i], impl_->group->device(d).spec(), impl_->opts);
-  std::vector<std::size_t> order(batch);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return cost[a][0] > cost[b][0];
-                   });
-  for (const std::size_t i : order) {
-    std::size_t best = 0;
-    for (std::size_t d = 1; d < ndev; ++d)
-      if (load[d] + cost[i][d] <
-          load[best] + cost[i][best])  // strict: ties -> lowest index
-        best = d;
-    out[i] = best;
-    load[best] += cost[i][best];
-  }
-  return out;
+  return lpt_assignment(cost);
 }
 
 std::vector<SparseSpectrum> MultiGpuPlan::execute_many(
@@ -386,33 +392,16 @@ std::vector<SparseSpectrum> MultiGpuPlan::execute_mixed(
   st.staging = group.staging().name();
   st.device_of = assign;
   st.per_signal = std::move(per_signal);
-  double finish_sum = 0, finish_max = 0;
+  std::vector<GpuDeviceShardStats> shards(ndev);
   for (std::size_t d = 0; d < ndev; ++d) {
-    GpuDeviceShardStats ds;
-    ds.device = group.device(d).spec().name;
-    ds.signals = shard_size[d];
-    ds.model_ms = fs.finish_s[d] * 1e3;
-    ds.solo_ms = groups[d].empty()
-                     ? 0.0
-                     : group.device(d).elapsed_model_ms();
-    ds.pcie_stall_ms = fs.pcie_stall_s[d] * 1e3;
-    ds.pcie_queue_ms = fs.pcie_queue_s[d] * 1e3;
-    // Busy fraction of the fleet makespan (time >= 1 kernel resident):
-    // a device that finishes last but spent the window idling on PCIe
-    // reports low utilization, not ~1.0.
-    if (st.model_ms > 0) ds.utilization = fs.busy_s[d] * 1e3 / st.model_ms;
-    st.pcie_stall_ms += ds.pcie_stall_ms;
-    st.pcie_queue_ms += ds.pcie_queue_ms;
+    shards[d].signals = shard_size[d];
+    if (!groups[d].empty())
+      shards[d].solo_ms = group.device(d).elapsed_model_ms();
     st.candidates += shard_candidates[d];
     st.pipelined = st.pipelined || shard_pipelined[d] != 0;
-    if (shard_size[d] > 0) {
-      finish_sum += ds.model_ms;
-      finish_max = std::max(finish_max, ds.model_ms);
-    }
-    st.per_device.push_back(std::move(ds));
   }
-  if (!active.empty() && finish_sum > 0)
-    st.imbalance = finish_max / (finish_sum / active.size());
+  fold_devices(group, fs, std::move(shards), st);
+  st.imbalance = imbalance_of(st.per_device, /*count_idle=*/false);
   st.to_metrics(cusim::MetricsRegistry::global());
   if (stats != nullptr) *stats = std::move(st);
   return out;

@@ -7,19 +7,16 @@
 // (shared t=0 at the group capture) with PCIe root-complex contention —
 // see cusim/device_group.hpp.
 //
-// Shard assignment (ShardPolicy::kCostLpt, the default) prices every
-// signal with an analytic per-signal cost derived from the perfmodel —
-// bytes streamed by binning + the subsampled FFTs + voting/estimation
-// traffic over the device's effective bandwidth, plus a FLOP floor, plus
-// the H2D copy when transfers are modeled — and places signals in LPT
-// order (longest first) onto the device with the smallest projected
-// finish, ties to the lowest index. Homogeneous uniform batches degrade
-// to round-robin; a half-rate device receives proportionally fewer
-// signals; a skewed mixed-shape batch splits by cost instead of count.
-// ShardPolicy::kUnitGreedy keeps the legacy uniform 1/mem_bandwidth
-// weighting (every signal costs the same) for A/B comparison. Either
-// assignment is a pure function of (signal shapes, specs, policy) —
-// deterministic.
+// Shard assignment prices every signal with an analytic per-signal cost
+// derived from the perfmodel — bytes streamed by binning + the subsampled
+// FFTs + voting/estimation traffic over the device's effective
+// bandwidth, plus a FLOP floor, plus the H2D copy when transfers are
+// modeled — and places signals in LPT order (longest first) onto the
+// device with the smallest projected finish, ties to the lowest index.
+// Homogeneous uniform batches degrade to round-robin; a half-rate device
+// receives proportionally fewer signals; a skewed mixed-shape batch
+// splits by cost instead of count. The assignment is a pure function of
+// (signal shapes, specs) — deterministic.
 //
 // Mixed-shape batches: execute_mixed() accepts per-signal sfft::Params.
 // Each device shard groups its signals by shape and runs one
@@ -42,13 +39,6 @@
 
 namespace cusfft::gpu {
 
-/// How MultiGpuPlan assigns signals to devices.
-enum class ShardPolicy {
-  kCostLpt,     ///< per-signal analytic cost model + LPT (default)
-  kUnitGreedy,  ///< legacy: every signal costs the device's uniform
-                ///< 1/mem_bandwidth weight, greedy in input order
-};
-
 /// One signal of a mixed-shape batch: the samples plus the shape-specific
 /// parameters (x.size() must equal params.n).
 struct MixedSignal {
@@ -57,7 +47,7 @@ struct MixedSignal {
 };
 
 /// Analytic per-signal cost (seconds) of running `p` on a device with
-/// `spec` under `opts` — the kCostLpt assignment currency. Counts the
+/// `spec` under `opts` — the shard assignment currency. Counts the
 /// bytes the kernel sequence streams through device memory (binning taps,
 /// subsampled FFT passes, cutoff/vote/estimate traffic) over the device's
 /// effective coalesced bandwidth, a FLOP floor against dp_peak_flops(),
@@ -162,17 +152,13 @@ class MultiGpuPlan {
   const sfft::Params& params() const;
   cusim::DeviceGroup& group();
 
-  void set_shard_policy(ShardPolicy p);
-  ShardPolicy shard_policy() const;
-
   /// Shard assignment for a uniform batch of the plan's own shape:
   /// element i is the device index signal i would run on. Pure and
-  /// deterministic (see file comment for the policy semantics).
+  /// deterministic (see file comment).
   std::vector<std::size_t> shard_assignment(std::size_t batch) const;
 
-  /// Mixed-shape assignment: one Params per signal. Under kCostLpt the
-  /// LPT pass prices each signal on each device; under kUnitGreedy the
-  /// shapes are ignored (every signal costs the legacy uniform weight).
+  /// Mixed-shape assignment: one Params per signal, each priced on each
+  /// device by modeled_signal_cost_s.
   std::vector<std::size_t> shard_assignment(
       std::span<const sfft::Params> shapes) const;
 

@@ -193,13 +193,11 @@ struct Server::Impl {
 
   std::size_t n_submitted = 0, n_completed = 0, n_shed = 0, n_rejected = 0;
 
-  // Fleet, built lazily at the first batch launch. Only the thread that
+  // Cluster, built lazily at the first batch launch. Only the thread that
   // launches batches touches it (the caller in virtual mode, the batcher
   // thread in threaded mode).
-  std::unique_ptr<cusim::DeviceGroup> group;
-  std::unique_ptr<gpu::MultiGpuPlan> mplan;
-  std::unique_ptr<cusim::Cluster> cluster;  // cfg.nodes > 1
-  std::unique_ptr<gpu::ClusterPlan> cplan;  // cfg.nodes > 1
+  std::unique_ptr<cusim::Cluster> cluster;
+  std::unique_ptr<gpu::ClusterPlan> cplan;
 
   // Cached handles into the global registry (hot-path contract).
   cusim::Counter& m_req_lat;
@@ -386,32 +384,21 @@ struct Server::Impl {
 
   // ---- execution ------------------------------------------------------
 
-  void ensure_fleet(const sfft::Params& shape) {
-    if (group || cplan) return;
-    if (cfg.nodes > 1) {
-      cluster = std::make_unique<cusim::Cluster>(cfg.nodes, cfg.devices);
-      cplan = std::make_unique<gpu::ClusterPlan>(*cluster, shape, cfg.opts);
-      cplan->set_shard_policy(cfg.shard_policy);
-      return;
-    }
-    group = std::make_unique<cusim::DeviceGroup>(cfg.devices);
-    mplan = std::make_unique<gpu::MultiGpuPlan>(*group, shape, cfg.opts);
-    mplan->set_shard_policy(cfg.shard_policy);
-  }
-
   // Device-side work only — reads b.run, never queue state, so the
   // threaded path may call it with the lock released.
   gpu::GpuFleetStats run_batch(const Batch& b,
                                std::vector<SparseSpectrum>& out) {
-    ensure_fleet(b.run.front().params);
+    if (!cplan) {  // shaped by the first batch's first request
+      cluster = std::make_unique<cusim::Cluster>(cfg.nodes, cfg.devices);
+      cplan = std::make_unique<gpu::ClusterPlan>(
+          *cluster, b.run.front().params, cfg.opts);
+    }
     std::vector<gpu::MixedSignal> mix;
     mix.reserve(b.run.size());
     for (const Pend& p : b.run)
       mix.push_back({std::span<const cplx>(p.x), p.params});
     gpu::GpuFleetStats fs;
-    out = cplan != nullptr
-              ? cplan->execute_mixed(mix, &fs, gpu::BatchMode::kAuto)
-              : mplan->execute_mixed(mix, &fs, gpu::BatchMode::kAuto);
+    out = cplan->execute_mixed(mix, &fs, gpu::BatchMode::kAuto);
     return fs;
   }
 

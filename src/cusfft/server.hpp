@@ -1,10 +1,12 @@
-// Multi-tenant serving tier above the fleet: cusfft::serve::Server turns
-// the pre-formed-batch MultiGpuPlan API into a service. Tenants submit
+// Multi-tenant serving tier above the cluster: cusfft::serve::Server turns
+// the pre-formed-batch ClusterPlan API into a service. Tenants submit
 // individual requests (per-request sfft::Params, a latency- or
 // throughput-class SLO, an optional deadline); a dynamic batcher coalesces
-// whatever is in flight into MultiGpuPlan::execute_mixed calls —
+// whatever is in flight into ClusterPlan::execute_mixed calls —
 // inference-server-style continuous batching with a shape-keyed plan cache
-// shared across tenants (the MultiGpuPlan's own per-device cache).
+// shared across tenants (each node's MultiGpuPlan per-device cache). One
+// node (the default) is a plain device fleet: ClusterPlan hands the whole
+// batch to that node's MultiGpuPlan.
 //
 // Admission control is per tenant and bounded: a tenant with
 // tenant_queue_depth requests already pending has its next submission
@@ -87,9 +89,8 @@ struct Request {
 
 /// Server knobs. All virtual-clock quantities are milliseconds.
 struct ServerConfig {
-  std::size_t devices = 1;      ///< simulated fleet size (per node)
-  std::size_t nodes = 1;        ///< cluster size; > 1 serves on a
-                                ///< ClusterPlan (devices per node)
+  std::size_t devices = 1;      ///< simulated devices per node
+  std::size_t nodes = 1;        ///< simulated cluster size
   std::size_t max_batch = 8;    ///< size batch-close trigger
   double max_wait_latency_ms = 1.0;     ///< kLatency close window
   double max_wait_throughput_ms = 8.0;  ///< kThroughput close window
@@ -99,7 +100,6 @@ struct ServerConfig {
     o.include_transfer = true;  // serving pays the H2D copy
     return o;
   }();
-  gpu::ShardPolicy shard_policy = gpu::ShardPolicy::kCostLpt;
 
   /// Applies the CUSFFT_SERVE_* environment knobs on top of `base`:
   /// CUSFFT_SERVE_DEVICES, CUSFFT_SERVE_NODES, CUSFFT_SERVE_MAX_BATCH,
@@ -169,11 +169,11 @@ struct GpuServeStats {
 
 class Server {
  public:
-  /// Validates cfg (throws std::invalid_argument). The fleet
-  /// (DeviceGroup + MultiGpuPlan) is built lazily at the first batch
-  /// launch, shaped by that batch's first request; later shapes go
-  /// through the MultiGpuPlan's shape-keyed plan cache, shared across
-  /// tenants.
+  /// Validates cfg (throws std::invalid_argument). The cluster
+  /// (cusim::Cluster + ClusterPlan, nodes x devices) is built lazily at
+  /// the first batch launch, shaped by that batch's first request; later
+  /// shapes go through the node plans' shape-keyed plan cache, shared
+  /// across tenants.
   explicit Server(ServerConfig cfg);
   ~Server();  // stops the batcher thread if running
   Server(const Server&) = delete;

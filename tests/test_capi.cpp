@@ -220,7 +220,7 @@ TEST(CApi, PipelineEnvRereadEachBatch) {
   EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
 }
 
-TEST(CApi, PcieStagingAndShardPolicyControls) {
+TEST(CApi, PcieStagingControls) {
   constexpr std::size_t kBatch = 4;
   constexpr std::size_t kCap = 64;
   const std::size_t n = 1 << 12, k = 8;
@@ -242,10 +242,6 @@ TEST(CApi, PcieStagingAndShardPolicyControls) {
   EXPECT_EQ(cusfft_set_pcie_staging(h, static_cast<cusfft_pcie_staging>(99),
                                     1),
             CUSFFT_INVALID_ARGUMENT);
-  EXPECT_EQ(cusfft_set_shard_policy(nullptr, CUSFFT_SHARD_COST_LPT),
-            CUSFFT_INVALID_ARGUMENT);
-  EXPECT_EQ(cusfft_set_shard_policy(h, static_cast<cusfft_shard_policy>(99)),
-            CUSFFT_INVALID_ARGUMENT);
 
   ASSERT_EQ(cusfft_set_device_count(h, 2), CUSFFT_SUCCESS);
   auto run = [&](std::vector<uint64_t>& locs, std::vector<double>& vals,
@@ -262,10 +258,8 @@ TEST(CApi, PcieStagingAndShardPolicyControls) {
   ASSERT_EQ(cusfft_get_fleet_stats(h, &fs), CUSFFT_SUCCESS);
   EXPECT_EQ(fs.pcie_queue_ms, 0.0);  // unlimited never queues
 
-  // Staged + legacy sharding: scheduling knobs only, results identical.
+  // Staged: a scheduling knob only, results identical.
   ASSERT_EQ(cusfft_set_pcie_staging(h, CUSFFT_STAGING_ROUND_ROBIN, 0),
-            CUSFFT_SUCCESS);
-  ASSERT_EQ(cusfft_set_shard_policy(h, CUSFFT_SHARD_UNIT_GREEDY),
             CUSFFT_SUCCESS);
   run(locs2, vals2, counts2);
   for (std::size_t i = 0; i < kBatch; ++i) {
@@ -281,14 +275,98 @@ TEST(CApi, PcieStagingAndShardPolicyControls) {
   EXPECT_GE(fs.pcie_queue_ms, 0.0);
   EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
 
-  // CPU backends accept and ignore both knobs.
+  // CPU backends accept and ignore the knob.
   cusfft_handle cpu = nullptr;
   ASSERT_EQ(cusfft_plan(&cpu, n, k, CUSFFT_BACKEND_SERIAL), CUSFFT_SUCCESS);
   EXPECT_EQ(cusfft_set_pcie_staging(cpu, CUSFFT_STAGING_MAX_INFLIGHT, 2),
             CUSFFT_SUCCESS);
-  EXPECT_EQ(cusfft_set_shard_policy(cpu, CUSFFT_SHARD_UNIT_GREEDY),
-            CUSFFT_SUCCESS);
   EXPECT_EQ(cusfft_destroy(cpu), CUSFFT_SUCCESS);
+}
+
+TEST(CApi, StagingAndStatsFollowTopologyChanges) {
+  constexpr std::size_t kBatch = 4;
+  constexpr std::size_t kCap = 64;
+  const std::size_t n = 1 << 12, k = 8;
+  std::vector<double> inputs;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    const CWorkload w = make_workload(n, k, 870 + i);
+    const double* d = reinterpret_cast<const double*>(w.x.data());
+    inputs.insert(inputs.end(), d, d + 2 * n);
+  }
+  cusfft_handle h = nullptr;
+  ASSERT_EQ(cusfft_plan(&h, n, k, CUSFFT_BACKEND_GPU_OPTIMIZED),
+            CUSFFT_SUCCESS);
+  std::vector<uint64_t> locs(kBatch * kCap);
+  std::vector<double> vals(2 * kBatch * kCap);
+  std::size_t counts[kBatch] = {};
+  // Runs the batch and returns the retained profile's staging name.
+  auto run = [&]() -> std::string {
+    EXPECT_EQ(cusfft_execute_many(h, inputs.data(), kBatch, kCap,
+                                  locs.data(), vals.data(), counts),
+              CUSFFT_SUCCESS);
+    std::size_t len = 0;
+    EXPECT_EQ(cusfft_profile_json(h, nullptr, 0, &len), CUSFFT_SUCCESS);
+    std::vector<char> buf(len);
+    EXPECT_EQ(cusfft_profile_json(h, buf.data(), buf.size(), &len),
+              CUSFFT_SUCCESS);
+    cusfft::json::Value doc;
+    std::string err;
+    EXPECT_TRUE(cusfft::json::parse(buf.data(), doc, &err)) << err;
+    const cusfft::json::Value* profile = doc.find("profile");
+    return profile != nullptr ? profile->string_or("staging", "<none>")
+                              : std::string("<no profile>");
+  };
+  cusfft_fleet_stats fs;
+  cusfft_cluster_stats cs;
+
+  // Set before the topology exists: the rebuild must carry it over.
+  ASSERT_EQ(cusfft_set_pcie_staging(h, CUSFFT_STAGING_ROUND_ROBIN, 0),
+            CUSFFT_SUCCESS);
+  ASSERT_EQ(cusfft_set_device_count(h, 2), CUSFFT_SUCCESS);
+  EXPECT_EQ(run(), "round-robin");
+  ASSERT_EQ(cusfft_get_fleet_stats(h, &fs), CUSFFT_SUCCESS);
+  EXPECT_EQ(fs.devices, 2u);
+  EXPECT_GT(fs.pcie_queue_ms, 0.0);
+  ASSERT_EQ(cusfft_get_cluster_stats(h, &cs), CUSFFT_SUCCESS);
+  EXPECT_EQ(cs.nodes, 1u);
+  EXPECT_EQ(cs.devices, 2u);
+
+  // Set on the live topology: the next run must see it.
+  ASSERT_EQ(cusfft_set_pcie_staging(h, CUSFFT_STAGING_UNLIMITED, 0),
+            CUSFFT_SUCCESS);
+  EXPECT_EQ(run(), "unlimited");
+  ASSERT_EQ(cusfft_set_pcie_staging(h, CUSFFT_STAGING_ROUND_ROBIN, 0),
+            CUSFFT_SUCCESS);
+  EXPECT_EQ(run(), "round-robin");
+
+  ASSERT_EQ(cusfft_set_node_count(h, 2), CUSFFT_SUCCESS);
+  EXPECT_EQ(run(), "round-robin");
+  ASSERT_EQ(cusfft_get_cluster_stats(h, &cs), CUSFFT_SUCCESS);
+  EXPECT_EQ(cs.nodes, 2u);
+  EXPECT_EQ(cs.devices, 4u);
+
+  // 2 -> 1 nodes: stats reset until the next run, then one node of two.
+  ASSERT_EQ(cusfft_set_node_count(h, 1), CUSFFT_SUCCESS);
+  EXPECT_EQ(cusfft_get_cluster_stats(h, &cs), CUSFFT_INVALID_ARGUMENT);
+  EXPECT_EQ(cusfft_get_fleet_stats(h, &fs), CUSFFT_INVALID_ARGUMENT);
+  EXPECT_EQ(run(), "round-robin");
+  ASSERT_EQ(cusfft_get_cluster_stats(h, &cs), CUSFFT_SUCCESS);
+  EXPECT_EQ(cs.nodes, 1u);
+  EXPECT_EQ(cs.devices, 2u);
+  ASSERT_EQ(cusfft_get_fleet_stats(h, &fs), CUSFFT_SUCCESS);
+  EXPECT_EQ(fs.devices, 2u);
+
+  // 2 -> 1 devices: the single-device plan, no staging to report.
+  ASSERT_EQ(cusfft_set_device_count(h, 1), CUSFFT_SUCCESS);
+  EXPECT_EQ(cusfft_get_cluster_stats(h, &cs), CUSFFT_INVALID_ARGUMENT);
+  EXPECT_EQ(cusfft_get_fleet_stats(h, &fs), CUSFFT_INVALID_ARGUMENT);
+  EXPECT_EQ(run(), "<none>");
+  ASSERT_EQ(cusfft_get_fleet_stats(h, &fs), CUSFFT_SUCCESS);
+  EXPECT_EQ(fs.devices, 1u);
+  ASSERT_EQ(cusfft_get_cluster_stats(h, &cs), CUSFFT_SUCCESS);
+  EXPECT_EQ(cs.nodes, 1u);
+  EXPECT_EQ(cs.devices, 1u);
+  EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
 }
 
 TEST(CApi, MultiDeviceShardingMatchesSingleDevice) {
@@ -562,10 +640,6 @@ TEST(CApi, ErrorPaths) {
     EXPECT_EQ(cusfft_set_pcie_staging(
                   h, static_cast<cusfft_pcie_staging>(bad), 1),
               CUSFFT_INVALID_ARGUMENT)
-        << bad;
-    EXPECT_EQ(
-        cusfft_set_shard_policy(h, static_cast<cusfft_shard_policy>(bad)),
-        CUSFFT_INVALID_ARGUMENT)
         << bad;
     EXPECT_EQ(cusfft_metrics_write("unused.json",
                                    static_cast<cusfft_metrics_format>(bad)),

@@ -365,10 +365,10 @@ TEST(FleetSched, GoldenShardAndNodeAssignment) {
             (Assign{2, 2, 0, 1, 2, 0, 1, 0, 1}));
 }
 
-TEST(FleetSched, LptSplitsSkewedBatchBetterThanUnitGreedy) {
-  // [big, small, big, small x5]: counting signals balances 4/4 but piles
-  // both expensive transforms onto device 0 (greedy ties go low). LPT
-  // prices the bigs and separates them.
+TEST(FleetSched, LptSplitsSkewedBatchAcrossDevices) {
+  // [big, small, big, small x5]: counting signals would balance 4/4 and
+  // pile both expensive transforms onto device 0. LPT prices the bigs
+  // and separates them, finishing both devices together.
   const sfft::Params big = make_params(1 << 13, 16, 77);
   const sfft::Params small = make_params(1 << 10, 4, 78);
   std::vector<sfft::Params> shapes = {big,   small, big,   small,
@@ -383,28 +383,24 @@ TEST(FleetSched, LptSplitsSkewedBatchBetterThanUnitGreedy) {
   for (std::size_t i = 0; i < shapes.size(); ++i)
     batch.push_back({sigs[i], shapes[i]});
 
-  DeviceGroup g_lpt(2);
-  gpu::MultiGpuPlan lpt(g_lpt, big, opts);
-  ASSERT_EQ(lpt.shard_policy(), gpu::ShardPolicy::kCostLpt);
-  const auto a_lpt = lpt.shard_assignment(std::span<const sfft::Params>(shapes));
-  EXPECT_NE(a_lpt[0], a_lpt[2]) << "LPT must separate the two bigs";
+  DeviceGroup group(2);
+  gpu::MultiGpuPlan lpt(group, big, opts);
+  gpu::GpuFleetStats fs;
+  const auto got = lpt.execute_mixed(batch, &fs, gpu::BatchMode::kPipelined);
+  ASSERT_EQ(fs.device_of.size(), shapes.size());
+  EXPECT_NE(fs.device_of[0], fs.device_of[2]) << "LPT must separate the bigs";
+  // 1.00013 when this test was written; piling both bigs onto one device
+  // (the unit-weight split) measured 1.288.
+  EXPECT_LT(fs.imbalance, 1.0005);
 
-  DeviceGroup g_greedy(2);
-  gpu::MultiGpuPlan greedy(g_greedy, big, opts);
-  greedy.set_shard_policy(gpu::ShardPolicy::kUnitGreedy);
-  const auto a_greedy =
-      greedy.shard_assignment(std::span<const sfft::Params>(shapes));
-  EXPECT_EQ(a_greedy[0], a_greedy[2]) << "unit weights pile the bigs up";
-
-  gpu::GpuFleetStats fs_lpt, fs_greedy;
-  const auto out_lpt =
-      lpt.execute_mixed(batch, &fs_lpt, gpu::BatchMode::kPipelined);
-  const auto out_greedy =
-      greedy.execute_mixed(batch, &fs_greedy, gpu::BatchMode::kPipelined);
-  expect_identical(out_lpt, out_greedy, "lpt vs unit-greedy");
-  EXPECT_LT(fs_lpt.model_ms, fs_greedy.model_ms)
-      << "LPT " << fs_lpt.model_ms << " ms vs unit-greedy "
-      << fs_greedy.model_ms << " ms";
+  cusim::Device solo;
+  gpu::GpuPlan plan_big(solo, big, opts);
+  gpu::GpuPlan plan_small(solo, small, opts);
+  std::vector<SparseSpectrum> expected;
+  for (std::size_t i = 0; i < shapes.size(); ++i)
+    expected.push_back(
+        (shapes[i].n == big.n ? plan_big : plan_small).execute(sigs[i]));
+  expect_identical(expected, got, "fleet vs per-signal single device");
 }
 
 TEST(FleetSched, FleetStatsReportStagingPolicy) {

@@ -1,14 +1,20 @@
 // Unit + property tests for src/fft: plan correctness against the naive DFT
 // oracle, round trips, linearity, shift theorem, batching, parallel paths,
-// Bluestein sizes.
+// Bluestein sizes, and bit identity with the reference radix-2 below.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "core/modmath.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "fft/dft.hpp"
 #include "fft/fft.hpp"
+#include "sfft/params.hpp"
+#include "signal/filter.hpp"
+#include "signal/window.hpp"
 
 namespace cusfft {
 namespace {
@@ -204,6 +210,226 @@ TEST(FftCost, BluesteinCostsMoreThanPow2) {
   fft::Plan blue(1000, fft::Direction::kForward);
   EXPECT_GT(blue.cost().flops, pow2.cost().flops);
   EXPECT_GT(blue.cost().bytes, pow2.cost().bytes);
+}
+
+// ---- bit identity with the reference radix-2 -------------------------------
+//
+// A test-local copy of the transform fft::Plan has always computed: a
+// bit-reversal table, strided reads of one n/2-entry twiddle table, and
+// std::complex butterflies; Bluestein on top of it. Spectra, filters and
+// modeled times downstream are pinned bit for bit, so every Plan path must
+// reproduce this reference byte for byte (memcmp, NaN payloads included).
+namespace reference {
+
+void radix2(std::span<cplx> a, fft::Direction dir) {
+  const std::size_t n = a.size();
+  const unsigned logn = log2_floor(n);
+  std::vector<u32> bitrev(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    u32 r = 0;
+    for (unsigned b = 0; b < logn; ++b)
+      if (i >> b & 1) r |= 1u << (logn - 1 - b);
+    bitrev[i] = r;
+  }
+  const double sign = dir == fft::Direction::kForward ? -1.0 : 1.0;
+  cvec tw(std::max<std::size_t>(n / 2, 1));
+  for (std::size_t j = 0; j < tw.size(); ++j) {
+    const double ang = sign * kTwoPi * static_cast<double>(j) /
+                       static_cast<double>(n);
+    tw[j] = cplx{std::cos(ang), std::sin(ang)};
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const u32 r = bitrev[i];
+    if (i < r) std::swap(a[i], a[r]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len >> 1;
+    const std::size_t step = n / len;
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t j = 0; j < half; ++j) {
+        const cplx w = tw[j * step];
+        const cplx u = a[i + j];
+        const cplx v = a[i + j + half] * w;
+        a[i + j] = u + v;
+        a[i + j + half] = u - v;
+      }
+    }
+  }
+  if (dir == fft::Direction::kInverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& x : a) x *= inv_n;
+  }
+}
+
+void transform(std::span<cplx> a, fft::Direction dir);
+
+void bluestein(std::span<cplx> a, fft::Direction dir) {
+  const std::size_t n = a.size();
+  const std::size_t m = next_pow2(2 * n - 1);
+  const double sign = dir == fft::Direction::kForward ? -1.0 : 1.0;
+  cvec chirp(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const u64 t2 = mod_mul(t, t, 2 * n);
+    const double ang = sign * kPi * static_cast<double>(t2) /
+                       static_cast<double>(n);
+    chirp[t] = cplx{std::cos(ang), std::sin(ang)};
+  }
+  cvec bfreq(m, cplx{});
+  bfreq[0] = std::conj(chirp[0]);
+  for (std::size_t t = 1; t < n; ++t) {
+    bfreq[t] = std::conj(chirp[t]);
+    bfreq[m - t] = std::conj(chirp[t]);
+  }
+  radix2(bfreq, fft::Direction::kForward);
+  cvec av(m, cplx{});
+  for (std::size_t t = 0; t < n; ++t) av[t] = a[t] * chirp[t];
+  radix2(av, fft::Direction::kForward);
+  for (std::size_t t = 0; t < m; ++t) av[t] *= bfreq[t];
+  radix2(av, fft::Direction::kInverse);
+  const double scale =
+      dir == fft::Direction::kInverse ? 1.0 / static_cast<double>(n) : 1.0;
+  for (std::size_t k = 0; k < n; ++k) a[k] = av[k] * chirp[k] * scale;
+}
+
+void transform(std::span<cplx> a, fft::Direction dir) {
+  if (a.size() == 1) return;
+  if (is_pow2(a.size()))
+    radix2(a, dir);
+  else
+    bluestein(a, dir);
+}
+
+}  // namespace reference
+
+bool same_bytes(const cvec& a, const cvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+/// Inputs of one size: 0 random normals; 1 signed zeros and subnormals
+/// among normals; 2 the same plus +Inf and -Inf (inf - inf and inf * 0
+/// turn up mid-transform, so std::complex's NaN recovery runs); 3 a quiet
+/// NaN with its sign bit set and a positive one.
+cvec special_input(std::size_t n, int kind, u64 seed) {
+  cvec x = random_signal(n, seed);
+  if (kind == 0) return x;
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  const double sub = std::numeric_limits<double>::min() / 8.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 7) {
+      case 1: x[i] = {0.0, -0.0}; break;
+      case 3: x[i] = {-dmin, sub}; break;
+      case 5: x[i] = {-0.0, -sub}; break;
+      default: break;
+    }
+  }
+  if (kind == 2) {
+    x[n / 3] = {inf, x[n / 3].imag()};
+    x[n - 1] = {x[n - 1].real(), -inf};
+  } else if (kind == 3) {
+    x[n / 2] = {-nan, 1.0};
+    x[n - 1] = {0.5, nan};
+  }
+  return x;
+}
+
+constexpr int kInputKinds = 4;
+
+/// memcmp of every Plan path against the reference, one size/direction.
+void expect_paths_match_reference(std::size_t n, fft::Direction dir,
+                                  ThreadPool& pool) {
+  const fft::Plan plan(n, dir);
+  cvec batch_in, expect_all;
+  for (int kind = 0; kind < kInputKinds; ++kind) {
+    const cvec x = special_input(n, kind, 1000 + 10 * n + kind);
+    cvec expect = x;
+    reference::transform(expect, dir);
+    cvec got(n);
+    plan.execute(x, got);
+    EXPECT_TRUE(same_bytes(got, expect))
+        << "execute n=" << n << " dir=" << int(dir) << " kind=" << kind;
+    // The stage-parallel butterflies compile apart from the serial ones
+    // and quiet an input NaN with the opposite sign bit, so the NaN input
+    // is checked on the serial and batched paths only.
+    got = x;
+    plan.execute_parallel(got, pool);
+    if (kind != 3) {
+      EXPECT_TRUE(same_bytes(got, expect))
+          << "execute_parallel n=" << n << " dir=" << int(dir)
+          << " kind=" << kind;
+    }
+    batch_in.insert(batch_in.end(), x.begin(), x.end());
+    expect_all.insert(expect_all.end(), expect.begin(), expect.end());
+  }
+  cvec got = batch_in;
+  plan.execute_batch(got, kInputKinds);
+  EXPECT_TRUE(same_bytes(got, expect_all))
+      << "execute_batch n=" << n << " dir=" << int(dir);
+  got = batch_in;
+  plan.execute_batch(got, kInputKinds, pool);
+  EXPECT_TRUE(same_bytes(got, expect_all))
+      << "execute_batch(pool) n=" << n << " dir=" << int(dir);
+}
+
+TEST(FftBitIdentity, PowersOfTwoMatchReferenceOnEveryPath) {
+  ThreadPool pool(4);
+  for (unsigned logn = 0; logn <= 20; ++logn)
+    for (auto dir : {fft::Direction::kForward, fft::Direction::kInverse})
+      expect_paths_match_reference(std::size_t{1} << logn, dir, pool);
+}
+
+/// Dolph-Chebyshev window length (the Bluestein size of its ifft) at the
+/// paper-regime shapes the benchmark runs: n=2^18 k=1000 and the two
+/// n=2^14 serve shapes (k=32, k=8), tolerance 1e-6.
+std::size_t paper_window_length(std::size_t n, std::size_t k) {
+  sfft::Params p;
+  p.n = n;
+  p.k = k;
+  p.bcst = 1.0;
+  return signal::window_length(signal::WindowKind::kDolphChebyshev,
+                               0.5 / static_cast<double>(p.buckets()), 1e-6);
+}
+
+TEST(FftBitIdentity, BluesteinSizesMatchReference) {
+  ThreadPool pool(4);
+  const std::size_t sizes[] = {3, 10000, paper_window_length(1 << 18, 1000),
+                               paper_window_length(1 << 14, 32),
+                               paper_window_length(1 << 14, 8)};
+  for (std::size_t n : sizes) {
+    ASSERT_FALSE(is_pow2(n)) << n;
+    for (auto dir : {fft::Direction::kForward, fft::Direction::kInverse})
+      expect_paths_match_reference(n, dir, pool);
+  }
+}
+
+u64 fnv1a(const cvec& v) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(cplx); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Byte pins of the flat filters built on the dense FFT (two length-n
+// transforms plus the window's Bluestein ifft each).
+TEST(FftBitIdentity, FlatFilterBytesPinned) {
+  const signal::FlatFilter f = signal::make_flat_filter(1 << 16, 512);
+  EXPECT_EQ(fnv1a(f.time), 0xb4e85209ca6b5a24ull);
+  EXPECT_EQ(fnv1a(f.freq), 0x395a95a837788791ull);
+
+  sfft::Params p;  // the steady_2e18 shape in the paper regime
+  p.n = 1 << 18;
+  p.k = 1000;
+  p.bcst = 1.0;
+  p.filter.tolerance = 1e-6;
+  const signal::FlatFilter s =
+      signal::make_flat_filter(p.n, p.buckets(), p.filter);
+  EXPECT_EQ(fnv1a(s.time), 0x7c379c35e6005724ull);
+  EXPECT_EQ(fnv1a(s.freq), 0xd68e9a34c1148a0bull);
 }
 
 TEST(FftPlan, MoveTransfersOwnership) {

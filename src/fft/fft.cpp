@@ -10,29 +10,94 @@ namespace cusfft::fft {
 
 namespace {
 
-/// Bit-reversal permutation table for size n = 2^logn.
-std::vector<u32> make_bitrev(std::size_t n) {
-  std::vector<u32> rev(n);
-  const unsigned logn = log2_floor(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    u32 r = 0;
-    for (unsigned b = 0; b < logn; ++b)
-      if (i >> b & 1) r |= 1u << (logn - 1 - b);
-    rev[i] = r;
-  }
-  return rev;
-}
-
-/// Twiddle table tw[j] = exp(sign * 2*pi*i * j / n), j in [0, n/2).
-cvec make_twiddles(std::size_t n, double sign) {
-  cvec tw(std::max<std::size_t>(n / 2, 1));
-  for (std::size_t j = 0; j < tw.size(); ++j) {
+/// Twiddles laid out stage by stage: the stage of half-width h reads the
+/// contiguous entries [h, 2h), entry h + j = exp(sign * 2*pi*i * j / 2h).
+/// Only the last stage's n/2 roots are computed (cos/sin of the same angles
+/// as a length-n table); every earlier stage copies the even entries of
+/// the stage above, so each entry is an exact copy of the length-n table's
+/// entry j * n / 2h. Entry 0 is unused.
+cvec make_stage_twiddles(std::size_t n, double sign) {
+  cvec tw(n);
+  const std::size_t half = n / 2;
+  for (std::size_t j = 0; j < half; ++j) {
     const double ang = sign * kTwoPi * static_cast<double>(j) /
                        static_cast<double>(n);
-    tw[j] = cplx{std::cos(ang), std::sin(ang)};
+    tw[half + j] = cplx{std::cos(ang), std::sin(ang)};
   }
+  for (std::size_t h = half / 2; h >= 1; h /= 2)
+    for (std::size_t j = 0; j < h; ++j) tw[h + j] = tw[2 * h + 2 * j];
   return tw;
 }
+
+/// Swaps a[i] and a[rev(i)] for every i in [begin, end) with i < rev(i),
+/// where rev reverses the low logn bits. rev(i) advances by a reversed
+/// increment (amortized O(1)), so no permutation table is kept.
+void bit_reverse(cplx* a, std::size_t n, std::size_t begin,
+                 std::size_t end) {
+  const unsigned logn = log2_floor(n);
+  std::size_t r = 0;
+  for (unsigned b = 0; b < logn; ++b)
+    if (begin >> b & 1) r |= std::size_t{1} << (logn - 1 - b);
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i < r) std::swap(a[i], a[r]);
+    std::size_t bit = n >> 1;
+    while (r & bit) {
+      r ^= bit;
+      bit >>= 1;
+    }
+    r |= bit;
+  }
+}
+
+/// One radix-2 butterfly on interleaved doubles: v = q * w, then
+/// (p, q) = (p + v, p - v). The product is spelled the way GCC expands
+/// std::complex multiplication: ac - bd and ad + bc, and, only when both
+/// come out NaN, the full operator* with its C99 Annex G recovery. Without
+/// FMA contraction (ISO C++ mode, no -march) every result is bit-identical
+/// to the std::complex butterfly.
+inline void butterfly(double* p, double* q, const double* w) {
+  const double qr = q[0], qi = q[1], wr = w[0], wi = w[1];
+  double vr = qr * wr - qi * wi;
+  double vi = qr * wi + qi * wr;
+  if (std::isnan(vr) && std::isnan(vi)) [[unlikely]] {
+    const cplx v = cplx{qr, qi} * cplx{wr, wi};
+    vr = v.real();
+    vi = v.imag();
+  }
+  const double ur = p[0], ui = p[1];
+  p[0] = ur + vr;
+  p[1] = ui + vi;
+  q[0] = ur - vr;
+  q[1] = ui - vi;
+}
+
+/// Butterflies [f_begin, f_end) of the stage of half-width h over the
+/// interleaved doubles d, reading the stage table tw. Butterfly f pairs
+/// values 2h*(f/h) + f%h and that plus h. Every path runs its butterflies
+/// through this one out-of-line function: when both addends of a sum are
+/// NaN, which one's sign and payload survive depends on the operand order
+/// the compiler picks, so one copy of the code keeps the serial and
+/// parallel paths bit-identical on NaN inputs too.
+[[gnu::noinline]] void stage_range(double* d, std::size_t h,
+                                   std::size_t f_begin, std::size_t f_end,
+                                   const double* tw) {
+  const double* w = tw + 2 * h;
+  for (std::size_t f = f_begin; f < f_end;) {
+    const std::size_t j0 = f % h;
+    const std::size_t count = std::min(f_end - f, h - j0);
+    double* p = d + 2 * (2 * (f - j0) + j0);
+    double* q = p + 2 * h;
+    const double* wj = w + 2 * j0;
+    for (std::size_t j = 0; j < count; ++j)
+      butterfly(p + 2 * j, q + 2 * j, wj + 2 * j);
+    f += count;
+  }
+}
+
+/// Stages up to half-width kBlock / 2 run one cache-resident block of
+/// kBlock values at a time (64 KiB); butterflies within a stage are
+/// independent, so the order changes no result.
+constexpr std::size_t kBlock = std::size_t{1} << 12;
 
 }  // namespace
 
@@ -42,8 +107,7 @@ struct Plan::Impl {
   bool pow2 = false;
 
   // --- power-of-two path ---
-  std::vector<u32> bitrev;
-  cvec twiddles;  // n/2 roots with the plan's sign
+  cvec twiddles;  // n entries, stage-contiguous (make_stage_twiddles)
 
   // --- Bluestein path (arbitrary n) ---
   std::size_t m = 0;            // padded power-of-two size >= 2n-1
@@ -54,61 +118,49 @@ struct Plan::Impl {
 
   double sign() const { return dir == Direction::kForward ? -1.0 : 1.0; }
 
+  const double* tw() const {
+    return reinterpret_cast<const double*>(twiddles.data());
+  }
+
+  void scale_inverse(double* d, std::size_t begin, std::size_t end) const {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 2 * begin; i < 2 * end; ++i) d[i] *= inv_n;
+  }
+
   void radix2_inplace(std::span<cplx> a) const {
-    // Decimation-in-time with precomputed bit-reversal + twiddles.
-    for (std::size_t i = 0; i < n; ++i) {
-      const u32 r = bitrev[i];
-      if (i < r) std::swap(a[i], a[r]);
-    }
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t half = len >> 1;
-      const std::size_t step = n / len;
-      for (std::size_t i = 0; i < n; i += len) {
-        for (std::size_t j = 0; j < half; ++j) {
-          const cplx w = twiddles[j * step];
-          const cplx u = a[i + j];
-          const cplx v = a[i + j + half] * w;
-          a[i + j] = u + v;
-          a[i + j + half] = u - v;
-        }
-      }
-    }
-    if (dir == Direction::kInverse) {
-      const double inv_n = 1.0 / static_cast<double>(n);
-      for (auto& x : a) x *= inv_n;
-    }
+    // Decimation-in-time: bit reversal, then log2(n) butterfly stages.
+    bit_reverse(a.data(), n, 0, n);
+    double* d = reinterpret_cast<double*>(a.data());
+    const std::size_t blk = std::min(n, kBlock);
+    for (std::size_t b = 0; b < n; b += blk)
+      for (std::size_t h = 1; h < blk; h <<= 1)
+        stage_range(d + 2 * b, h, 0, blk / 2, tw());
+    for (std::size_t h = blk; h < n; h <<= 1)
+      stage_range(d, h, 0, n / 2, tw());
+    if (dir == Direction::kInverse) scale_inverse(d, 0, n);
   }
 
   void radix2_parallel(std::span<cplx> a, ThreadPool& pool) const {
     pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        const u32 r = bitrev[i];
-        if (i < r) std::swap(a[i], a[r]);
-      }
+      bit_reverse(a.data(), n, b, e);
     });
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      const std::size_t half = len >> 1;
-      const std::size_t step = n / len;
-      // Flatten all n/2 butterflies of this stage; each worker takes a
-      // contiguous range (no two butterflies share elements within a stage).
+    double* d = reinterpret_cast<double*>(a.data());
+    const std::size_t blk = std::min(n, kBlock);
+    pool.parallel_for(n / blk, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i)
+        for (std::size_t h = 1; h < blk; h <<= 1)
+          stage_range(d + 2 * i * blk, h, 0, blk / 2, tw());
+    });
+    // Later stages: each worker takes a contiguous range of the stage's
+    // n/2 butterflies (no two butterflies share elements within a stage).
+    for (std::size_t h = blk; h < n; h <<= 1)
       pool.parallel_for(n / 2, [&](std::size_t b, std::size_t e) {
-        for (std::size_t f = b; f < e; ++f) {
-          const std::size_t i = (f / half) * len;
-          const std::size_t j = f % half;
-          const cplx w = twiddles[j * step];
-          const cplx u = a[i + j];
-          const cplx v = a[i + j + half] * w;
-          a[i + j] = u + v;
-          a[i + j + half] = u - v;
-        }
+        stage_range(d, h, b, e, tw());
       });
-    }
-    if (dir == Direction::kInverse) {
-      const double inv_n = 1.0 / static_cast<double>(n);
+    if (dir == Direction::kInverse)
       pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) a[i] *= inv_n;
+        scale_inverse(d, b, e);
       });
-    }
   }
 
   void bluestein(std::span<cplx> a) const {
@@ -131,10 +183,7 @@ Plan::Plan(std::size_t n, Direction dir) : impl_(std::make_unique<Impl>()) {
   impl_->dir = dir;
   impl_->pow2 = is_pow2(n);
   if (impl_->pow2) {
-    if (n > 1) {
-      impl_->bitrev = make_bitrev(n);
-      impl_->twiddles = make_twiddles(n, impl_->sign());
-    }
+    if (n > 1) impl_->twiddles = make_stage_twiddles(n, impl_->sign());
     return;
   }
   // Bluestein setup. chirp[t] = exp(sign*pi*i*t^2/n); t^2 taken mod 2n keeps

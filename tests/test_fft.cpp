@@ -350,16 +350,11 @@ void expect_paths_match_reference(std::size_t n, fft::Direction dir,
     plan.execute(x, got);
     EXPECT_TRUE(same_bytes(got, expect))
         << "execute n=" << n << " dir=" << int(dir) << " kind=" << kind;
-    // The stage-parallel butterflies compile apart from the serial ones
-    // and quiet an input NaN with the opposite sign bit, so the NaN input
-    // is checked on the serial and batched paths only.
     got = x;
     plan.execute_parallel(got, pool);
-    if (kind != 3) {
-      EXPECT_TRUE(same_bytes(got, expect))
-          << "execute_parallel n=" << n << " dir=" << int(dir)
-          << " kind=" << kind;
-    }
+    EXPECT_TRUE(same_bytes(got, expect))
+        << "execute_parallel n=" << n << " dir=" << int(dir)
+        << " kind=" << kind;
     batch_in.insert(batch_in.end(), x.begin(), x.end());
     expect_all.insert(expect_all.end(), expect.begin(), expect.end());
   }

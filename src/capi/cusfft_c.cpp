@@ -50,8 +50,10 @@ struct cusfft_plan_t {
   /// until then, and for CPU backends).
   std::unique_ptr<cusfft::cusim::CaptureProfile> profile;
 
-  /// Fleet stats of the most recent GPU execute/execute_many (a single
-  /// device reports devices == 1, imbalance 1.0, zero stalls).
+  /// Fleet stats of the most recent successful GPU execute/execute_many
+  /// (a single device reports devices == 1, imbalance 1.0, zero stalls).
+  /// Runs fill a local stats object, so a run that throws leaves these
+  /// as they were.
   std::unique_ptr<cusfft::gpu::GpuFleetStats> fleet;
 
   /// Retains the open capture's profile after a GPU run — the merged
@@ -248,11 +250,12 @@ cusfft_status cusfft_execute(cusfft_handle h, const double* input,
           // Route the single signal through the cluster (it lands on the
           // cheapest device; the others idle in the merged timeline).
           const std::span<const cusfft::cplx> one[] = {x};
-          h->fleet = std::make_unique<cusfft::gpu::GpuFleetStats>();
+          auto st = std::make_unique<cusfft::gpu::GpuFleetStats>();
           const auto mode = h->batch_pipeline != 0
                                 ? cusfft::gpu::BatchMode::kAuto
                                 : cusfft::gpu::BatchMode::kSerialized;
-          s = std::move(h->cplan->execute_many(one, h->fleet.get(), mode)[0]);
+          s = std::move(h->cplan->execute_many(one, st.get(), mode)[0]);
+          h->fleet = std::move(st);
         } else {
           cusfft::gpu::GpuExecStats est;
           s = h->gpu->execute(x, &est);
@@ -309,8 +312,9 @@ cusfft_status cusfft_execute_many(cusfft_handle h, const double* inputs,
                               ? cusfft::gpu::BatchMode::kAuto
                               : cusfft::gpu::BatchMode::kSerialized;
         if (h->cplan != nullptr) {
-          h->fleet = std::make_unique<cusfft::gpu::GpuFleetStats>();
-          results = h->cplan->execute_many(xs, h->fleet.get(), mode);
+          auto st = std::make_unique<cusfft::gpu::GpuFleetStats>();
+          results = h->cplan->execute_many(xs, st.get(), mode);
+          h->fleet = std::move(st);
         } else {
           cusfft::gpu::GpuBatchStats bst;
           results = h->gpu->execute_many(xs, &bst, mode);

@@ -458,6 +458,60 @@ TEST(CApi, MultiDeviceShardingMatchesSingleDevice) {
   EXPECT_EQ(cusfft_destroy(h), CUSFFT_SUCCESS);
 }
 
+TEST(CApi, FailedFleetRunKeepsLastGoodStats) {
+  // A multi-device batch that throws must leave the previous successful
+  // run's fleet and cluster stats in place, as the single-device path
+  // does, not an empty stats object reporting success.
+  constexpr std::size_t kBatch = 4;
+  constexpr std::size_t kCap = 32;
+  const std::size_t n = 1 << 12, k = 8;
+  std::vector<double> inputs;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    const CWorkload w = make_workload(n, k, 850 + i);
+    const double* d = reinterpret_cast<const double*>(w.x.data());
+    inputs.insert(inputs.end(), d, d + 2 * n);
+  }
+  cusfft_handle h = nullptr;
+  ASSERT_EQ(cusfft_plan(&h, n, k, CUSFFT_BACKEND_GPU_OPTIMIZED),
+            CUSFFT_SUCCESS);
+  ASSERT_EQ(cusfft_set_device_count(h, 2), CUSFFT_SUCCESS);
+  std::vector<uint64_t> locs(kBatch * kCap);
+  std::vector<double> vals(2 * kBatch * kCap);
+  std::size_t counts[kBatch] = {};
+  ASSERT_EQ(cusfft_execute_many(h, inputs.data(), kBatch, kCap, locs.data(),
+                                vals.data(), counts),
+            CUSFFT_SUCCESS);
+  cusfft_fleet_stats good;
+  ASSERT_EQ(cusfft_get_fleet_stats(h, &good), CUSFFT_SUCCESS);
+  ASSERT_EQ(good.devices, 2u);
+  ASSERT_EQ(good.signals, kBatch);
+  ASSERT_GT(good.model_ms, 0.0);
+  cusfft_cluster_stats good_cluster;
+  ASSERT_EQ(cusfft_get_cluster_stats(h, &good_cluster), CUSFFT_SUCCESS);
+
+  ::setenv("CUSFFT_ALGO", "bogus", 1);
+  EXPECT_EQ(cusfft_execute_many(h, inputs.data(), kBatch, kCap, locs.data(),
+                                vals.data(), counts),
+            CUSFFT_INVALID_ARGUMENT);
+  std::size_t count = kCap;
+  EXPECT_EQ(cusfft_execute(h, inputs.data(), locs.data(), vals.data(),
+                           &count),
+            CUSFFT_INVALID_ARGUMENT);
+  ::unsetenv("CUSFFT_ALGO");
+
+  cusfft_fleet_stats after;
+  ASSERT_EQ(cusfft_get_fleet_stats(h, &after), CUSFFT_SUCCESS);
+  EXPECT_EQ(after.devices, good.devices);
+  EXPECT_EQ(after.signals, good.signals);
+  EXPECT_EQ(after.model_ms, good.model_ms);
+  cusfft_cluster_stats after_cluster;
+  ASSERT_EQ(cusfft_get_cluster_stats(h, &after_cluster), CUSFFT_SUCCESS);
+  EXPECT_EQ(after_cluster.devices, good_cluster.devices);
+  EXPECT_EQ(after_cluster.signals, good_cluster.signals);
+  EXPECT_EQ(after_cluster.model_ms, good_cluster.model_ms);
+  cusfft_destroy(h);
+}
+
 TEST(CApi, NodeCountRoutesThroughClusterBitIdentically) {
   constexpr std::size_t kBatch = 6;
   constexpr std::size_t kCap = 64;

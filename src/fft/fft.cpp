@@ -10,23 +10,41 @@ namespace cusfft::fft {
 
 namespace {
 
-/// Twiddles laid out stage by stage: the stage of half-width h reads the
-/// contiguous entries [h, 2h), entry h + j = exp(sign * 2*pi*i * j / 2h).
-/// Only the last stage's n/2 roots are computed (cos/sin of the same angles
-/// as a length-n table); every earlier stage copies the even entries of
-/// the stage above, so each entry is an exact copy of the length-n table's
-/// entry j * n / 2h. Entry 0 is unused.
-cvec make_stage_twiddles(std::size_t n, double sign) {
-  cvec tw(n);
+/// The first stages (half-width h < kBlock) run one cache-resident block
+/// of kBlock values (64 KiB) at a time; later stages sweep the whole array
+/// in chunks of kChunk butterflies. Butterflies within a stage are
+/// independent, so neither order changes a result.
+constexpr std::size_t kBlock = std::size_t{1} << 12;
+constexpr std::size_t kChunk = 256;
+
+/// Twiddles of a size-n radix-2 plan, in one vector. The n/2 roots
+/// w^j = exp(sign * 2*pi*i * j / n) are computed once, with the cos/sin of
+/// the same angles as a length-n table, and stored contiguously at offset
+/// `roots`; butterfly j of the stage of half-width h multiplies by root
+/// j * n/2h. The blocked stages also get stage-by-stage copies, stage h at
+/// entries [h, 2h), so their reads are contiguous. For n <= kBlock the
+/// roots are the last stage's entries [n/2, n); otherwise they follow the
+/// kBlock entries of the blocked stages. Every entry is an exact copy of a
+/// root.
+struct Twiddles {
+  cvec tw;
+  std::size_t roots = 0;
+};
+
+Twiddles make_twiddles(std::size_t n, double sign) {
   const std::size_t half = n / 2;
+  Twiddles t;
+  t.roots = n > kBlock ? kBlock : half;
+  t.tw.resize(t.roots + half);
   for (std::size_t j = 0; j < half; ++j) {
     const double ang = sign * kTwoPi * static_cast<double>(j) /
                        static_cast<double>(n);
-    tw[half + j] = cplx{std::cos(ang), std::sin(ang)};
+    t.tw[t.roots + j] = cplx{std::cos(ang), std::sin(ang)};
   }
-  for (std::size_t h = half / 2; h >= 1; h /= 2)
-    for (std::size_t j = 0; j < h; ++j) tw[h + j] = tw[2 * h + 2 * j];
-  return tw;
+  for (std::size_t h = 1; h < std::min(kBlock, half); h <<= 1)
+    for (std::size_t j = 0; j < h; ++j)
+      t.tw[h + j] = t.tw[t.roots + j * (half / h)];
+  return t;
 }
 
 /// Swaps a[i] and a[rev(i)] for every i in [begin, end) with i < rev(i),
@@ -71,33 +89,36 @@ inline void butterfly(double* p, double* q, const double* w) {
   q[1] = ui - vi;
 }
 
-/// Butterflies [f_begin, f_end) of the stage of half-width h over the
-/// interleaved doubles d, reading the stage table tw. Butterfly f pairs
-/// values 2h*(f/h) + f%h and that plus h. Every path runs its butterflies
-/// through this one out-of-line function: when both addends of a sum are
-/// NaN, which one's sign and payload survive depends on the operand order
-/// the compiler picks, so one copy of the code keeps the serial and
-/// parallel paths bit-identical on NaN inputs too.
-[[gnu::noinline]] void stage_range(double* d, std::size_t h,
-                                   std::size_t f_begin, std::size_t f_end,
-                                   const double* tw) {
-  const double* w = tw + 2 * h;
-  for (std::size_t f = f_begin; f < f_end;) {
-    const std::size_t j0 = f % h;
-    const std::size_t count = std::min(f_end - f, h - j0);
-    double* p = d + 2 * (2 * (f - j0) + j0);
-    double* q = p + 2 * h;
+/// Butterflies j in [j_begin, j_end) of every group of the stage of
+/// half-width h over `len` interleaved complex values at d: group g pairs
+/// values g*2h + j and g*2h + j + h, with twiddle w[j * stride]. Strided
+/// twiddles are gathered kChunk at a time and reused by every group.
+/// Every path runs its butterflies through this one out-of-line function:
+/// when both addends of a sum are NaN, which one's sign and payload survive
+/// depends on the operand order the compiler picks, so one copy of the code
+/// keeps the serial and parallel paths bit-identical on NaN inputs too.
+[[gnu::noinline]] void stage(double* d, std::size_t len, std::size_t h,
+                             std::size_t j_begin, std::size_t j_end,
+                             const double* w, std::size_t stride) {
+  double gathered[2 * kChunk];
+  for (std::size_t j0 = j_begin; j0 < j_end; j0 += kChunk) {
+    const std::size_t count = std::min(kChunk, j_end - j0);
     const double* wj = w + 2 * j0;
-    for (std::size_t j = 0; j < count; ++j)
-      butterfly(p + 2 * j, q + 2 * j, wj + 2 * j);
-    f += count;
+    if (stride != 1) {
+      for (std::size_t j = 0; j < count; ++j) {
+        gathered[2 * j] = w[2 * (j0 + j) * stride];
+        gathered[2 * j + 1] = w[2 * (j0 + j) * stride + 1];
+      }
+      wj = gathered;
+    }
+    for (std::size_t g = 0; g < len; g += 2 * h) {
+      double* p = d + 2 * (g + j0);
+      double* q = p + 2 * h;
+      for (std::size_t j = 0; j < count; ++j)
+        butterfly(p + 2 * j, q + 2 * j, wj + 2 * j);
+    }
   }
 }
-
-/// Stages up to half-width kBlock / 2 run one cache-resident block of
-/// kBlock values at a time (64 KiB); butterflies within a stage are
-/// independent, so the order changes no result.
-constexpr std::size_t kBlock = std::size_t{1} << 12;
 
 }  // namespace
 
@@ -107,7 +128,7 @@ struct Plan::Impl {
   bool pow2 = false;
 
   // --- power-of-two path ---
-  cvec twiddles;  // n entries, stage-contiguous (make_stage_twiddles)
+  Twiddles twiddles;
 
   // --- Bluestein path (arbitrary n) ---
   std::size_t m = 0;            // padded power-of-two size >= 2n-1
@@ -118,13 +139,26 @@ struct Plan::Impl {
 
   double sign() const { return dir == Direction::kForward ? -1.0 : 1.0; }
 
-  const double* tw() const {
-    return reinterpret_cast<const double*>(twiddles.data());
-  }
-
   void scale_inverse(double* d, std::size_t begin, std::size_t end) const {
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t i = 2 * begin; i < 2 * end; ++i) d[i] *= inv_n;
+  }
+
+  /// The blocked stages h < blk on block [b, b + blk), reading the
+  /// stage-by-stage copies (contiguous).
+  void block_stages(double* d, std::size_t b, std::size_t blk) const {
+    const double* tw = reinterpret_cast<const double*>(twiddles.tw.data());
+    for (std::size_t h = 1; h < blk; h <<= 1)
+      stage(d + 2 * b, blk, h, 0, h, tw + 2 * h, 1);
+  }
+
+  /// Butterflies [j_begin, j_end) of a later stage h >= blk, reading the
+  /// roots with stride n/2h.
+  void sweep_stage(double* d, std::size_t h, std::size_t j_begin,
+                   std::size_t j_end) const {
+    const double* roots = reinterpret_cast<const double*>(
+        twiddles.tw.data() + twiddles.roots);
+    stage(d, n, h, j_begin, j_end, roots, n / (2 * h));
   }
 
   void radix2_inplace(std::span<cplx> a) const {
@@ -132,11 +166,8 @@ struct Plan::Impl {
     bit_reverse(a.data(), n, 0, n);
     double* d = reinterpret_cast<double*>(a.data());
     const std::size_t blk = std::min(n, kBlock);
-    for (std::size_t b = 0; b < n; b += blk)
-      for (std::size_t h = 1; h < blk; h <<= 1)
-        stage_range(d + 2 * b, h, 0, blk / 2, tw());
-    for (std::size_t h = blk; h < n; h <<= 1)
-      stage_range(d, h, 0, n / 2, tw());
+    for (std::size_t b = 0; b < n; b += blk) block_stages(d, b, blk);
+    for (std::size_t h = blk; h < n; h <<= 1) sweep_stage(d, h, 0, h);
     if (dir == Direction::kInverse) scale_inverse(d, 0, n);
   }
 
@@ -147,15 +178,14 @@ struct Plan::Impl {
     double* d = reinterpret_cast<double*>(a.data());
     const std::size_t blk = std::min(n, kBlock);
     pool.parallel_for(n / blk, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i)
-        for (std::size_t h = 1; h < blk; h <<= 1)
-          stage_range(d + 2 * i * blk, h, 0, blk / 2, tw());
+      for (std::size_t i = b; i < e; ++i) block_stages(d, i * blk, blk);
     });
-    // Later stages: each worker takes a contiguous range of the stage's
-    // n/2 butterflies (no two butterflies share elements within a stage).
+    // Later stages: each worker takes a contiguous range of butterfly
+    // columns j across every group (no two butterflies share elements
+    // within a stage).
     for (std::size_t h = blk; h < n; h <<= 1)
-      pool.parallel_for(n / 2, [&](std::size_t b, std::size_t e) {
-        stage_range(d, h, b, e, tw());
+      pool.parallel_for(h, [&](std::size_t b, std::size_t e) {
+        sweep_stage(d, h, b, e);
       });
     if (dir == Direction::kInverse)
       pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
@@ -183,7 +213,7 @@ Plan::Plan(std::size_t n, Direction dir) : impl_(std::make_unique<Impl>()) {
   impl_->dir = dir;
   impl_->pow2 = is_pow2(n);
   if (impl_->pow2) {
-    if (n > 1) impl_->twiddles = make_stage_twiddles(n, impl_->sign());
+    if (n > 1) impl_->twiddles = make_twiddles(n, impl_->sign());
     return;
   }
   // Bluestein setup. chirp[t] = exp(sign*pi*i*t^2/n); t^2 taken mod 2n keeps

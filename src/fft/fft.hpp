@@ -1,11 +1,20 @@
 // Planned fast Fourier transforms — the from-scratch stand-in for FFTW on
 // the CPU side and the computational core reused by the simulated cuFFT
-// (src/cufftsim). Plan once, execute many times (FFTW/cuFFT idiom): twiddle
-// factors and the bit-reversal permutation are precomputed at plan time.
+// (src/cufftsim). Plan once, execute many times (FFTW/cuFFT idiom): the
+// twiddle factors are precomputed at plan time.
 //
 // Supported sizes: any n >= 1. Powers of two use the iterative radix-2
 // decimation-in-time kernel; other sizes go through Bluestein's chirp-z
 // algorithm on a padded power-of-two plan.
+//
+// The radix-2 core keeps one n-entry twiddle table laid out stage by stage
+// (the stage of half-width h reads entries [h, 2h) contiguously), reverses
+// bits in place without a table, and runs the first stages one 64 KiB
+// block at a time. Its results are bit-identical to a textbook radix-2
+// with std::complex butterflies and strided twiddle reads, on every path
+// (serial, batched, parallel) and for every input, NaN and Inf included:
+// test_fft pins this against such a reference with memcmp, and
+// docs/PERF.md §9 explains why it holds.
 //
 // Conventions match fft/dft.hpp: forward unnormalized, inverse carries 1/n.
 #pragma once

@@ -44,6 +44,19 @@ void BM_HostFft(benchmark::State& state) {
 }
 BENCHMARK(BM_HostFft)->Arg(10)->Arg(14)->Arg(18);
 
+// Plan construction alone: the n/2 roots' cos/sin calls plus the blocked
+// stages' twiddle copies. make_flat_filter, the window ifft and
+// make_sparse_signal build a fresh plan per call, so this cost is paid as
+// often as an execute.
+void BM_HostFftPlan(benchmark::State& state) {
+  const std::size_t n = 1ULL << state.range(0);
+  for (auto _ : state) {
+    fft::Plan plan(n, fft::Direction::kForward);
+    benchmark::DoNotOptimize(&plan);
+  }
+}
+BENCHMARK(BM_HostFftPlan)->Arg(14)->Arg(16)->Arg(18);
+
 void BM_HostFftBluestein(benchmark::State& state) {
   const std::size_t n = 10000;  // non-power-of-two
   cvec x = random_signal(n, 2);

@@ -214,11 +214,11 @@ TEST(FftCost, BluesteinCostsMoreThanPow2) {
 
 // ---- bit identity with the reference radix-2 -------------------------------
 //
-// A test-local copy of the transform fft::Plan has always computed: a
-// bit-reversal table, strided reads of one n/2-entry twiddle table, and
-// std::complex butterflies; Bluestein on top of it. Spectra, filters and
-// modeled times downstream are pinned bit for bit, so every Plan path must
-// reproduce this reference byte for byte (memcmp, NaN payloads included).
+// A test-local textbook radix-2 as the reference: a bit-reversal table,
+// strided reads of one n/2-entry twiddle table, and std::complex
+// butterflies; Bluestein on top of it. Spectra, filters and modeled times
+// downstream are pinned bit for bit, so every Plan path must reproduce
+// this reference byte for byte (memcmp, NaN payloads included).
 namespace reference {
 
 void radix2(std::span<cplx> a, fft::Direction dir) {

@@ -12,8 +12,10 @@
 // bits in place without a table, and runs the first stages one 64 KiB
 // block at a time. Its results are bit-identical to a textbook radix-2
 // with std::complex butterflies and strided twiddle reads, on every path
-// (serial, batched, parallel) and for every input, NaN and Inf included:
-// test_fft pins this against such a reference with memcmp, and
+// (serial, batched, parallel) and for every input, Inf and NaN included.
+// The one exception is which sign survives where NaNs of both signs meet
+// in a sum: that follows the operand order the compiler picks. test_fft
+// pins all of this against such a reference with memcmp, and
 // docs/PERF.md §9 explains why it holds.
 //
 // Conventions match fft/dft.hpp: forward unnormalized, inverse carries 1/n.

@@ -70,9 +70,9 @@ void bit_reverse(cplx* a, std::size_t n, std::size_t begin,
 /// One radix-2 butterfly on interleaved doubles: v = q * w, then
 /// (p, q) = (p + v, p - v). The product is spelled the way GCC expands
 /// std::complex multiplication: ac - bd and ad + bc, and, only when both
-/// come out NaN, the full operator* with its C99 Annex G recovery. Without
-/// FMA contraction (ISO C++ mode, no -march) every result is bit-identical
-/// to the std::complex butterfly.
+/// come out NaN, the full operator* with its C99 Annex G recovery. The
+/// build targets baseline x86-64 (no -march), which has no FMA to contract
+/// into, so every result is bit-identical to the std::complex butterfly.
 inline void butterfly(double* p, double* q, const double* w) {
   const double qr = q[0], qi = q[1], wr = w[0], wi = w[1];
   double vr = qr * wr - qi * wi;

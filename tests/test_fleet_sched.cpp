@@ -1,11 +1,16 @@
 // Fleet scheduler regression sweep: per-device dependency scoping,
-// deadlock detection, PCIe staging admission policies, interval-union
+// deadlock detection, PCIe staging admission policies, bit-identity of the
+// merged schedule against a full-scan reference, interval-union
 // busy accounting, the per-signal cost model, and mixed-shape fleet
 // execution. The raw-timeline tests inject TimelineItems directly
 // (Device::timeline() mutable access) to reach schedules the kernel API
 // cannot produce — dangling deps, cycles, bare concurrent copies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -242,6 +247,377 @@ TEST(FleetSched, MaxInflightBoundsConcurrentCopies) {
   DeviceGroup named(1);
   named.set_staging(PcieStaging::MaxInflight(3));
   EXPECT_STREQ(named.staging().name(), "max-inflight");
+}
+
+// ---- differential: merged scheduler vs the full-scan reference --------
+
+// Test-local copy of the full-scan merged loop DeviceGroup::simulate ran
+// before the stream-head scheduler, kept as the bit-identity reference:
+// every event it scans every item of every lane in global index order
+// (lane-major), tests barriers by walking all of [0, after), and throws on
+// a deadlock. `lanes[d]` is device d's submission list, `cap[d]` its
+// concurrent-kernel window.
+struct RefMerged {
+  double makespan_s = 0;
+  std::vector<std::vector<cusim::ItemSchedule>> items;
+  std::vector<double> pcie_queue_s;
+};
+
+RefMerged reference_merged(
+    const std::vector<const std::vector<TimelineItem>*>& lanes,
+    const std::vector<unsigned>& cap, PcieStaging staging) {
+  const std::size_t ndev = lanes.size();
+  RefMerged fs;
+  fs.items.resize(ndev);
+  fs.pcie_queue_s.assign(ndev, 0.0);
+
+  struct Node {
+    const TimelineItem* it = nullptr;
+    unsigned dev = 0;
+    std::size_t base = 0;
+    double mem_left = 0, comp_left = 0;
+    std::ptrdiff_t prev = -1;
+    bool running = false, done = false;
+    bool held = false;
+  };
+  std::vector<Node> nodes;
+  std::vector<std::size_t> dev_count(ndev, 0);
+  for (std::size_t d = 0; d < ndev; ++d) {
+    const auto& items = *lanes[d];
+    const std::size_t base = nodes.size();
+    dev_count[d] = items.size();
+    fs.items[d].assign(items.size(), cusim::ItemSchedule{});
+    std::vector<std::pair<cusim::StreamId, std::size_t>> last;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      Node nd;
+      nd.it = &items[i];
+      nd.dev = static_cast<unsigned>(d);
+      nd.base = base;
+      nd.mem_left = items[i].mem_s;
+      nd.comp_left = items[i].compute_s;
+      bool linked = false;
+      for (auto& [sid, idx] : last)
+        if (sid == items[i].stream) {
+          nd.prev = static_cast<std::ptrdiff_t>(base + idx);
+          idx = i;
+          linked = true;
+          break;
+        }
+      if (!linked) last.emplace_back(items[i].stream, i);
+      nodes.push_back(nd);
+    }
+  }
+
+  const std::size_t n = nodes.size();
+  constexpr double kEps = 1e-15;
+  double t = 0.0;
+  std::size_t done_count = 0;
+  unsigned rr_next = 0;
+  std::vector<unsigned> dev_running(ndev, 0), dev_mem(ndev, 0);
+  while (done_count < n) {
+    std::fill(dev_running.begin(), dev_running.end(), 0u);
+    unsigned pcie_running = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      nodes[i].held = false;
+      if (!nodes[i].running) continue;
+      if (nodes[i].it->resource == Resource::kDeviceMemory)
+        ++dev_running[nodes[i].dev];
+      else
+        ++pcie_running;
+    }
+    std::ptrdiff_t rr_pick = -1;
+    auto rr_dist = [&](unsigned dev) {
+      return (dev + static_cast<unsigned>(ndev) - rr_next) %
+             static_cast<unsigned>(ndev);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      Node& nd = nodes[i];
+      if (nd.running || nd.done) continue;
+      if (nd.prev >= 0 && !nodes[static_cast<std::size_t>(nd.prev)].done)
+        continue;
+      bool barrier_clear = true;
+      for (std::size_t b = 0; b < nd.it->after && barrier_clear; ++b)
+        barrier_clear = nodes[nd.base + b].done;
+      if (!barrier_clear) continue;
+      bool deps_clear = true;
+      for (const std::size_t dep : nd.it->deps)
+        if (dep < dev_count[nd.dev] && !nodes[nd.base + dep].done) {
+          deps_clear = false;
+          break;
+        }
+      if (!deps_clear) continue;
+      if (nd.it->resource == Resource::kDeviceMemory) {
+        if (dev_running[nd.dev] >= cap[nd.dev]) continue;
+        ++dev_running[nd.dev];
+      } else {
+        switch (staging.kind) {
+          case PcieStaging::Kind::kUnlimited:
+            break;
+          case PcieStaging::Kind::kMaxInflight:
+            if (pcie_running >= staging.limit) {
+              nd.held = true;
+              continue;
+            }
+            ++pcie_running;
+            break;
+          case PcieStaging::Kind::kRoundRobin:
+            nd.held = true;
+            if (pcie_running == 0 &&
+                (rr_pick < 0 || rr_dist(nd.dev) < rr_dist(nodes[rr_pick].dev)))
+              rr_pick = static_cast<std::ptrdiff_t>(i);
+            continue;
+        }
+      }
+      nd.running = true;
+      fs.items[nd.dev][i - nd.base].start_s = t;
+    }
+    if (rr_pick >= 0) {
+      Node& nd = nodes[static_cast<std::size_t>(rr_pick)];
+      nd.held = false;
+      nd.running = true;
+      fs.items[nd.dev][static_cast<std::size_t>(rr_pick) - nd.base].start_s =
+          t;
+      rr_next = (nd.dev + 1) % static_cast<unsigned>(ndev);
+    }
+
+    std::fill(dev_mem.begin(), dev_mem.end(), 0u);
+    unsigned pcie_mem = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      if (nodes[i].running && nodes[i].mem_left > kEps) {
+        if (nodes[i].it->resource == Resource::kDeviceMemory)
+          ++dev_mem[nodes[i].dev];
+        else
+          ++pcie_mem;
+      }
+    auto share_of = [&](const Node& nd) {
+      return nd.it->resource == Resource::kDeviceMemory
+                 ? static_cast<double>(std::max(1u, dev_mem[nd.dev]))
+                 : static_cast<double>(std::max(1u, pcie_mem));
+    };
+
+    double dt = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!nodes[i].running) continue;
+      const double share = share_of(nodes[i]);
+      const double fin =
+          std::max(nodes[i].comp_left, nodes[i].mem_left * share);
+      dt = std::min(dt, fin);
+      if (nodes[i].mem_left > kEps)
+        dt = std::min(dt, nodes[i].mem_left * share);
+    }
+    if (!std::isfinite(dt))
+      throw std::runtime_error("reference_merged: deadlock");
+    dt = std::max(dt, 0.0);
+
+    for (std::size_t i = 0; i < n; ++i) {
+      if (nodes[i].held) fs.pcie_queue_s[nodes[i].dev] += dt;
+      if (!nodes[i].running) continue;
+      const double share = share_of(nodes[i]);
+      nodes[i].comp_left -= dt;
+      nodes[i].mem_left -= dt / share;
+      if (nodes[i].comp_left <= kEps && nodes[i].mem_left <= kEps) {
+        nodes[i].running = false;
+        nodes[i].done = true;
+        fs.items[nodes[i].dev][i - nodes[i].base].finish_s = t + dt;
+        ++done_count;
+      }
+    }
+    t += dt;
+  }
+  fs.makespan_s = t;
+  return fs;
+}
+
+// The reference for the whole of DeviceGroup::simulate: the merged loop
+// above plus the post-pass (per-device finish, kernel-interval union, PCIe
+// stall against the device's own schedule, itself from the reference loop).
+cusim::FleetSchedule reference_fleet(const DeviceGroup& group) {
+  const std::size_t ndev = group.size();
+  std::vector<const std::vector<TimelineItem>*> lanes;
+  std::vector<unsigned> cap;
+  for (std::size_t d = 0; d < ndev; ++d) {
+    lanes.push_back(&group.device(d).timeline().items());
+    cap.push_back(group.device(d).spec().max_concurrent_kernels);
+  }
+  RefMerged m = reference_merged(lanes, cap, group.staging());
+  cusim::FleetSchedule fs;
+  fs.makespan_s = m.makespan_s;
+  fs.items = std::move(m.items);
+  fs.pcie_queue_s = std::move(m.pcie_queue_s);
+  fs.finish_s.assign(ndev, 0.0);
+  fs.busy_s.assign(ndev, 0.0);
+  fs.pcie_stall_s.assign(ndev, 0.0);
+  for (std::size_t d = 0; d < ndev; ++d) {
+    const auto& items = *lanes[d];
+    std::vector<std::pair<double, double>> spans;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      fs.finish_s[d] = std::max(fs.finish_s[d], fs.items[d][i].finish_s);
+      if (items[i].resource == Resource::kDeviceMemory)
+        spans.emplace_back(fs.items[d][i].start_s, fs.items[d][i].finish_s);
+    }
+    std::sort(spans.begin(), spans.end());
+    double cover_end = -1.0;
+    for (const auto& [s0, s1] : spans) {
+      if (s0 > cover_end) {
+        fs.busy_s[d] += s1 - s0;
+        cover_end = s1;
+      } else if (s1 > cover_end) {
+        fs.busy_s[d] += s1 - cover_end;
+        cover_end = s1;
+      }
+    }
+    const RefMerged solo =
+        reference_merged({lanes[d]}, {cap[d]}, PcieStaging::Unlimited());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].resource != Resource::kPcie) continue;
+      const double merged = fs.items[d][i].finish_s - fs.items[d][i].start_s;
+      const double alone =
+          solo.items[0][i].finish_s - solo.items[0][i].start_s;
+      fs.pcie_stall_s[d] += std::max(0.0, merged - alone);
+    }
+  }
+  return fs;
+}
+
+// A random submission list on `tl`: 0-39 items over 1-6 streams, a quarter
+// of them PCIe copies, zero and non-zero mem/compute times drawn from a
+// small grid (so completions tie and several items retire in one event),
+// Timeline::barrier(), device-wide and stream-scoped wait_event deps, and
+// raw submit(item, deps) lists with earlier, dangling (past the last
+// item) and — when `cycles` is set — later indices, which can deadlock.
+void fill_random_timeline(cusim::Timeline& tl, Rng& rng, bool cycles) {
+  const std::size_t streams = 1 + rng.next_below(6);
+  const std::size_t count = rng.next_below(40);
+  auto duration = [&] {
+    static constexpr double kGrid[] = {0.0, 0.0, 1e-4, 2e-4, 5e-4, 1e-3};
+    const u64 r = rng.next_below(8);
+    return r < 6 ? kGrid[r]
+                 : 1e-6 * static_cast<double>(1 + rng.next_below(999));
+  };
+  auto stream = [&] {
+    return static_cast<cusim::StreamId>(rng.next_below(streams));
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const u64 op = rng.next_below(100);
+    if (op < 8) {
+      tl.barrier();
+    } else if (op < 16 && i > 0) {
+      tl.wait_event(stream(), tl.record_event(stream()));
+    } else if (op < 21) {
+      tl.wait_event(stream(), tl.record_event());
+    }
+    TimelineItem it;
+    it.name = "r";
+    it.stream = stream();
+    it.resource =
+        rng.next_below(4) == 0 ? Resource::kPcie : Resource::kDeviceMemory;
+    it.mem_s = duration();
+    it.compute_s = duration();
+    std::vector<std::size_t> deps;
+    if (rng.next_below(5) == 0) {
+      const std::size_t nd = 1 + rng.next_below(3);
+      for (std::size_t j = 0; j < nd; ++j) {
+        const u64 kind = rng.next_below(cycles ? 4 : 3);
+        if (kind < 2 && i > 0)
+          deps.push_back(rng.next_below(i));  // earlier
+        else if (kind == 2)
+          deps.push_back(count + rng.next_below(1000));  // dangling
+        else if (kind == 3)
+          deps.push_back(i + rng.next_below(count - i));  // self or later
+      }
+    }
+    tl.submit(std::move(it), deps);
+  }
+}
+
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b, const char* what,
+                      int trial) {
+  ASSERT_EQ(a.size(), b.size()) << what << " trial " << trial;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what << " trial " << trial;
+}
+
+void expect_same_bits(const std::vector<cusim::ItemSchedule>& a,
+                      const std::vector<cusim::ItemSchedule>& b,
+                      const char* what, int trial) {
+  ASSERT_EQ(a.size(), b.size()) << what << " trial " << trial;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a[i].start_s, &b[i].start_s, sizeof(double)), 0)
+        << what << " trial " << trial << " item " << i << " start "
+        << a[i].start_s << " vs " << b[i].start_s;
+    EXPECT_EQ(std::memcmp(&a[i].finish_s, &b[i].finish_s, sizeof(double)),
+              0)
+        << what << " trial " << trial << " item " << i << " finish "
+        << a[i].finish_s << " vs " << b[i].finish_s;
+  }
+}
+
+TEST(FleetSched, MergedScheduleBitIdenticalToFullScanReference) {
+  Rng rng(20161);
+  int compared = 0, deadlocked = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const bool cycles = trial % 5 == 4;
+    const std::size_t ndev = 1 + rng.next_below(3);
+    std::vector<perfmodel::GpuSpec> specs(ndev, perfmodel::GpuSpec::k20x());
+    for (auto& s : specs)
+      s.max_concurrent_kernels = static_cast<unsigned>(1 + rng.next_below(3));
+    DeviceGroup group(std::move(specs));
+    for (std::size_t d = 0; d < ndev; ++d)
+      fill_random_timeline(group.device(d).timeline(), rng, cycles);
+    switch (trial % 3) {
+      case 0: group.set_staging(PcieStaging::Unlimited()); break;
+      case 1: group.set_staging(PcieStaging::RoundRobin()); break;
+      default:
+        group.set_staging(PcieStaging::MaxInflight(
+            static_cast<unsigned>(1 + rng.next_below(3))));
+    }
+
+    cusim::FleetSchedule want;
+    bool ref_threw = false;
+    try {
+      want = reference_fleet(group);
+    } catch (const std::runtime_error&) {
+      ref_threw = true;
+    }
+    if (ref_threw) {
+      ++deadlocked;
+      EXPECT_THROW(group.simulate(), std::runtime_error) << "trial " << trial;
+      continue;
+    }
+    ++compared;
+    const cusim::FleetSchedule got = group.simulate();
+    EXPECT_EQ(std::memcmp(&got.makespan_s, &want.makespan_s, sizeof(double)),
+              0)
+        << "trial " << trial << ": " << got.makespan_s << " vs "
+        << want.makespan_s;
+    ASSERT_EQ(got.items.size(), ndev);
+    for (std::size_t d = 0; d < ndev; ++d)
+      expect_same_bits(got.items[d], want.items[d], "fleet items", trial);
+    expect_same_bits(got.finish_s, want.finish_s, "finish_s", trial);
+    expect_same_bits(got.busy_s, want.busy_s, "busy_s", trial);
+    expect_same_bits(got.pcie_stall_s, want.pcie_stall_s, "pcie_stall_s",
+                     trial);
+    expect_same_bits(got.pcie_queue_s, want.pcie_queue_s, "pcie_queue_s",
+                     trial);
+
+    // Each device alone: Timeline::simulate is the one-lane,
+    // unlimited-staging case of the same loop.
+    for (std::size_t d = 0; d < ndev; ++d) {
+      cusim::Timeline& tl = group.device(d).timeline();
+      const RefMerged solo = reference_merged(
+          {&tl.items()}, {group.device(d).spec().max_concurrent_kernels},
+          PcieStaging::Unlimited());
+      const double makespan = tl.simulate();
+      EXPECT_EQ(std::memcmp(&makespan, &solo.makespan_s, sizeof(double)), 0)
+          << "timeline trial " << trial;
+      expect_same_bits(tl.schedule(), solo.items[0], "timeline items", trial);
+    }
+    if (::testing::Test::HasFailure()) break;  // one trial's report is enough
+  }
+  // The sweep must reach both outcomes.
+  EXPECT_GT(compared, 400);
+  EXPECT_GT(deadlocked, 10);
 }
 
 // ---- per-signal cost model -------------------------------------------

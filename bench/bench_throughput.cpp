@@ -17,6 +17,9 @@
 // (max_batch=1, zero wait), and the bench reports per-SLO-class p50/p99
 // modeled latency and sustained QPS. Exit is nonzero unless the replay is
 // reproducible and batched serving beats per-request execution on QPS.
+// --serve-out writes the first replay's float-free decision trace and
+// --serve-schedule-out its schedule trace (virtual times): the two goldens
+// CI diffs.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -161,6 +164,16 @@ int run_serve(const BenchOpts& o) {
     }
     f << run1.decisions;
     std::cout << "wrote decision trace: " << o.serve_out << "\n";
+  }
+  if (!o.serve_schedule_out.empty()) {
+    std::ofstream f(o.serve_schedule_out);
+    if (!f) {
+      std::cerr << "bench_throughput: cannot write " << o.serve_schedule_out
+                << "\n";
+      return 2;
+    }
+    f << run1.schedule;
+    std::cout << "wrote schedule trace: " << o.serve_schedule_out << "\n";
   }
 
   emit(o, "serve", t);

@@ -35,6 +35,7 @@ namespace {
                "             [--json PATH] [--metrics PATH]\n"
                "             [--serve] [--serve-in PATH] [--serve-out "
                "PATH]\n"
+               "             [--serve-schedule-out PATH]\n"
                "env: CUSFFT_MIN_LOGN CUSFFT_MAX_LOGN CUSFFT_K "
                "CUSFFT_FIXED_LOGN CUSFFT_SEED\n"
                "     CUSFFT_ALGO CUSFFT_AUTOPICK\n"
@@ -186,6 +187,8 @@ BenchOpts BenchOpts::parse(int argc, char** argv) {
     else if (key == "--serve") o.serve = true;
     else if (key == "--serve-in") o.serve_in = parse_path(key, value());
     else if (key == "--serve-out") o.serve_out = parse_path(key, value());
+    else if (key == "--serve-schedule-out")
+      o.serve_schedule_out = parse_path(key, value());
     else usage_exit("unknown flag '" + key + "'");
   }
   if (o.max_logn < o.min_logn) o.max_logn = o.min_logn;

@@ -84,6 +84,11 @@ struct BenchOpts {
   /// composition + shed/reject decisions) to this path — the golden
   /// scheduling artifact CI diffs. Env CUSFFT_SERVE_OUT / --serve-out.
   std::string serve_out;
+  /// --serve: write the run's schedule trace (Server::schedule_trace():
+  /// per-batch device, virtual start/finish times as %.6f ms) to this path
+  /// — the golden CI diffs to pin the modeled schedule itself.
+  /// --serve-schedule-out only.
+  std::string serve_schedule_out;
 
   /// Reads CUSFFT_MIN_LOGN / CUSFFT_MAX_LOGN / CUSFFT_K / CUSFFT_FIXED_LOGN
   /// / CUSFFT_SEED / CUSFFT_ALGO / CUSFFT_DEVICES / CUSFFT_NODES /

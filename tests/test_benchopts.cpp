@@ -349,13 +349,19 @@ TEST(BenchOpts, ServeFlagEnvAndPaths) {
   const char* none[] = {"bench"};
   EXPECT_FALSE(BenchOpts::parse(1, const_cast<char**>(none)).serve);
 
-  const char* argv[] = {"bench",      "--serve",     "--serve-in",
-                        "/tmp/in.tr", "--serve-out", "/tmp/out.tr"};
+  EXPECT_TRUE(BenchOpts::parse(1, const_cast<char**>(none))
+                  .serve_schedule_out.empty());
+
+  const char* argv[] = {"bench",       "--serve",
+                        "--serve-in",  "/tmp/in.tr",
+                        "--serve-out", "/tmp/out.tr",
+                        "--serve-schedule-out", "/tmp/sched.tr"};
   const auto o = BenchOpts::parse(static_cast<int>(std::size(argv)),
                                   const_cast<char**>(argv));
   EXPECT_TRUE(o.serve);
   EXPECT_EQ(o.serve_in, "/tmp/in.tr");
   EXPECT_EQ(o.serve_out, "/tmp/out.tr");
+  EXPECT_EQ(o.serve_schedule_out, "/tmp/sched.tr");
 
   ::setenv("CUSFFT_SERVE", "1", 1);
   ::setenv("CUSFFT_SERVE_IN", "/tmp/env_in.tr", 1);
@@ -413,6 +419,13 @@ TEST(BenchOptsDeathTest, MalformedServeQueueDepthExits) {
 
 TEST(BenchOptsDeathTest, EmptyServeOutFlagValueExits) {
   const char* argv[] = {"bench", "--serve-out", ""};
+  EXPECT_EXIT(BenchOpts::parse(static_cast<int>(std::size(argv)),
+                               const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "non-empty path");
+}
+
+TEST(BenchOptsDeathTest, EmptyServeScheduleOutFlagValueExits) {
+  const char* argv[] = {"bench", "--serve-schedule-out", ""};
   EXPECT_EXIT(BenchOpts::parse(static_cast<int>(std::size(argv)),
                                const_cast<char**>(argv)),
               ::testing::ExitedWithCode(2), "non-empty path");

@@ -8,9 +8,13 @@
 // device memory bandwidth) stay per-device, but all PCIe copies contend
 // for the shared host root complex — H2D/D2H transfers to different
 // devices split host link bandwidth instead of overlapping for free.
-// For a single device the merged schedule is bit-identical to
-// Timeline::simulate(), so fleet numbers degrade gracefully to the
-// single-device ones.
+// It is the same scheduler core Timeline::simulate() runs
+// (merged_schedule() in timeline.hpp, one lane per device, visiting only
+// stream heads in global index order), so for a single device under
+// unlimited staging the merged schedule is bit-identical to
+// Timeline::simulate() by construction, and fleet numbers degrade
+// gracefully to the single-device ones. DeviceGroup itself adds only the
+// per-device post-pass: busy-time union and PCIe stall.
 #pragma once
 
 #include <memory>
@@ -23,40 +27,6 @@
 namespace cusfft::cusim {
 
 struct CaptureProfile;  // profiler.hpp
-
-/// Admission policy for the shared PCIe root complex. Under kUnlimited
-/// (the default, and the only behavior before staging existed) every
-/// in-flight copy splits host-link bandwidth; the staged policies instead
-/// bound how many copies may be in flight at once, so shards stagger
-/// their bulk uploads rather than all contending at t=0 — the total bytes
-/// moved are identical, but the first-admitted device's kernels start
-/// sooner and overlap the remaining copies.
-struct PcieStaging {
-  enum class Kind {
-    kUnlimited,   ///< all ready copies run, splitting link bandwidth
-    kRoundRobin,  ///< one copy at a time, devices admitted in rotation
-    kMaxInflight  ///< at most `limit` concurrent copies (admission in
-                  ///< device-then-submission order)
-  };
-  Kind kind = Kind::kUnlimited;
-  unsigned limit = 0;  // kMaxInflight only
-
-  static PcieStaging Unlimited() { return {}; }
-  static PcieStaging RoundRobin() {
-    return {Kind::kRoundRobin, 0};
-  }
-  static PcieStaging MaxInflight(unsigned n) {
-    return {Kind::kMaxInflight, n > 0 ? n : 1};
-  }
-  const char* name() const {
-    switch (kind) {
-      case Kind::kRoundRobin: return "round-robin";
-      case Kind::kMaxInflight: return "max-inflight";
-      case Kind::kUnlimited: break;
-    }
-    return "unlimited";
-  }
-};
 
 /// All device timelines replayed on one shared clock (t=0 at the group's
 /// begin_capture). Index-aligned with the group's devices.

@@ -1,8 +1,10 @@
 #include "cusim/timeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cusfft::cusim {
 
@@ -102,134 +104,199 @@ std::size_t Timeline::submit(TimelineItem item,
   return items_.size() - 1;
 }
 
-double Timeline::simulate() {
-  if (!dirty_) return makespan_s_;
-  const std::size_t n = items_.size();
-  schedule_.assign(n, ItemSchedule{});
-  if (n == 0) {
-    dirty_ = false;
-    makespan_s_ = 0.0;
-    return 0.0;
+MergedSchedule merged_schedule(std::span<const ScheduleLane> lanes,
+                               const PcieStaging& staging) {
+  const std::size_t nlanes = lanes.size();
+  MergedSchedule ms;
+  ms.items.resize(nlanes);
+  ms.pcie_queue_s.assign(nlanes, 0.0);
+
+  // A running or startable item: only stream heads can be either.
+  struct Head {
+    std::size_t g = 0;  // global index (lane-major); npos once retired
+    unsigned lane = 0;
+    double mem_left = 0, comp_left = 0;
+    bool running = false;
+    bool held = false;  // ready this step but queued by the staging policy
+  };
+  constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> base(nlanes + 1, 0);  // lane l = [base[l], base[l+1])
+  for (std::size_t l = 0; l < nlanes; ++l) {
+    base[l + 1] = base[l] + lanes[l].items.size();
+    ms.items[l].assign(lanes[l].items.size(), ItemSchedule{});
+  }
+  const std::size_t n = base[nlanes];
+  auto item_of = [&](std::size_t g, unsigned l) -> const TimelineItem& {
+    return lanes[l].items[g - base[l]];
+  };
+  auto make_head = [&](std::size_t g, unsigned l) {
+    Head h;
+    h.g = g;
+    h.lane = l;
+    h.mem_left = item_of(g, l).mem_s;
+    h.comp_left = item_of(g, l).compute_s;
+    return h;
+  };
+  // next[g]: the following item on g's stream (npos if none); the first
+  // item of every stream is an initial head, found in ascending order.
+  std::vector<std::size_t> next(n, npos);
+  std::vector<Head> heads;
+  for (unsigned l = 0; l < nlanes; ++l) {
+    std::vector<std::pair<StreamId, std::size_t>> last;  // global indices
+    for (std::size_t g = base[l]; g < base[l + 1]; ++g) {
+      const StreamId sid = item_of(g, l).stream;
+      const auto it = std::find_if(last.begin(), last.end(),
+                                   [&](const auto& p) { return p.first == sid; });
+      if (it != last.end()) {
+        next[it->second] = g;
+        it->second = g;
+      } else {
+        last.emplace_back(sid, g);
+        heads.push_back(make_head(g, l));
+      }
+    }
   }
 
   constexpr double kEps = 1e-15;
-  struct State {
-    double mem_left = 0;
-    double comp_left = 0;
-    bool running = false;
-    bool done = false;
-  };
-  std::vector<State> st(n);
-  // Per-stream FIFO: index of the previous item on the same stream.
-  std::vector<std::ptrdiff_t> prev(n, -1);
-  {
-    std::vector<std::pair<StreamId, std::size_t>> last;
-    for (std::size_t i = 0; i < n; ++i) {
-      st[i].mem_left = items_[i].mem_s;
-      st[i].comp_left = items_[i].compute_s;
-      for (auto& [sid, idx] : last)
-        if (sid == items_[i].stream) {
-          prev[i] = static_cast<std::ptrdiff_t>(idx);
-          idx = i;
-          goto linked;
-        }
-      last.emplace_back(items_[i].stream, i);
-    linked:;
-    }
-  }
-
+  std::vector<char> done(n, 0);
+  // done_prefix[l]: the lane's first not-done local index, so "all of
+  // [0, after) done" is `after <= done_prefix[l]`.
+  std::vector<std::size_t> done_prefix(nlanes, 0);
+  std::vector<unsigned> dev_running(nlanes, 0), dev_mem(nlanes, 0);
+  unsigned pcie_running = 0;
+  unsigned rr_next = 0;  // round-robin rotation cursor (lane index)
+  const auto nl = static_cast<unsigned>(nlanes);
+  auto rr_dist = [&](unsigned l) { return (l + nl - rr_next) % nl; };
   double t = 0.0;
   std::size_t done_count = 0;
-  // The event loop only ever touches items that are not yet done: `alive`
-  // holds them in ascending index order (compacted after each retire), and
-  // `done_prefix` is the first not-done index — "all of [0, after) done"
-  // becomes one comparison. Scheduling decisions are evaluated in the same
-  // ascending-index order as the full scan this replaced, so the schedule
-  // is bit-identical; only the per-step cost drops from O(n) to O(alive).
-  std::vector<std::size_t> alive(n);
-  for (std::size_t i = 0; i < n; ++i) alive[i] = i;
-  std::size_t done_prefix = 0;
-  unsigned dev_running = 0, pcie_running = 0;
   while (done_count < n) {
-    // Start every eligible item (stream predecessor finished), respecting
-    // the concurrent-kernel cap for device work.
-    for (const std::size_t i : alive) {
-      if (st[i].running) continue;
-      if (prev[i] >= 0 && !st[static_cast<std::size_t>(prev[i])].done)
+    // Start every eligible head, respecting each lane's kernel window and
+    // the root-complex staging policy for PCIe copies.
+    Head* rr_pick = nullptr;  // best kRoundRobin candidate this step
+    for (Head& h : heads) {
+      h.held = false;
+      if (h.running) continue;
+      const TimelineItem& it = item_of(h.g, h.lane);
+      if (it.after > done_prefix[h.lane]) continue;  // barrier window open
+      const std::size_t lane_n = base[h.lane + 1] - base[h.lane];
+      if (std::any_of(it.deps.begin(), it.deps.end(), [&](std::size_t d) {
+            return d < lane_n && !done[base[h.lane] + d];
+          }))
         continue;
-      if (items_[i].after > done_prefix) continue;  // barrier window open
-      bool deps_clear = true;
-      for (const std::size_t d : items_[i].deps)
-        if (d < n && !st[d].done) {
-          deps_clear = false;
-          break;
-        }
-      if (!deps_clear) continue;
-      if (items_[i].resource == Resource::kDeviceMemory) {
-        if (dev_running >= max_kernels_) continue;
-        ++dev_running;
+      if (it.resource == Resource::kDeviceMemory) {
+        if (dev_running[h.lane] >= lanes[h.lane].max_kernels) continue;
+        ++dev_running[h.lane];
       } else {
+        switch (staging.kind) {
+          case PcieStaging::Kind::kUnlimited:
+            break;
+          case PcieStaging::Kind::kMaxInflight:
+            if (pcie_running >= staging.limit) {
+              h.held = true;
+              continue;
+            }
+            break;
+          case PcieStaging::Kind::kRoundRobin:
+            // One copy at a time; the winner is the ready lane closest in
+            // rotation after the last admission (earliest-submitted copy
+            // within it, by visiting order). Decided after the pass.
+            h.held = true;
+            if (pcie_running == 0 &&
+                (!rr_pick || rr_dist(h.lane) < rr_dist(rr_pick->lane)))
+              rr_pick = &h;
+            continue;
+        }
         ++pcie_running;
       }
-      st[i].running = true;
-      schedule_[i].start_s = t;
+      h.running = true;
+      ms.items[h.lane][h.g - base[h.lane]].start_s = t;
+    }
+    if (rr_pick) {
+      rr_pick->held = false;
+      rr_pick->running = true;
+      ++pcie_running;
+      ms.items[rr_pick->lane][rr_pick->g - base[rr_pick->lane]].start_s = t;
+      rr_next = (rr_pick->lane + 1) % nl;
     }
 
-    // Bandwidth is shared only among items that still demand memory.
-    unsigned dev_mem = 0, pcie_mem = 0;
-    for (const std::size_t i : alive)
-      if (st[i].running && st[i].mem_left > kEps)
-        (items_[i].resource == Resource::kDeviceMemory ? dev_mem
-                                                       : pcie_mem)++;
+    // Bandwidth is shared only among items that still demand memory:
+    // per lane for device memory, across all lanes for PCIe.
+    std::fill(dev_mem.begin(), dev_mem.end(), 0u);
+    unsigned pcie_mem = 0;
+    for (const Head& h : heads)
+      if (h.running && h.mem_left > kEps)
+        (item_of(h.g, h.lane).resource == Resource::kDeviceMemory
+             ? dev_mem[h.lane]
+             : pcie_mem)++;
+    auto share_of = [&](const Head& h) {
+      return item_of(h.g, h.lane).resource == Resource::kDeviceMemory
+                 ? static_cast<double>(std::max(1u, dev_mem[h.lane]))
+                 : static_cast<double>(std::max(1u, pcie_mem));
+    };
 
     // Next completion under the current bandwidth shares.
     double dt = std::numeric_limits<double>::infinity();
-    for (const std::size_t i : alive) {
-      if (!st[i].running) continue;
-      const double share =
-          items_[i].resource == Resource::kDeviceMemory
-              ? static_cast<double>(std::max(1u, dev_mem))
-              : static_cast<double>(std::max(1u, pcie_mem));
-      const double fin = std::max(st[i].comp_left, st[i].mem_left * share);
-      dt = std::min(dt, fin);
+    for (const Head& h : heads) {
+      if (!h.running) continue;
+      const double share = share_of(h);
+      dt = std::min(dt, std::max(h.comp_left, h.mem_left * share));
       // Shares change when an item's memory demand drains, even if its
       // compute phase keeps running — that is also an event.
-      if (st[i].mem_left > kEps) dt = std::min(dt, st[i].mem_left * share);
+      if (h.mem_left > kEps) dt = std::min(dt, h.mem_left * share);
     }
-    if (!std::isfinite(dt)) break;  // nothing runnable: defensive stop
+    if (!std::isfinite(dt))
+      throw std::runtime_error(
+          "cusim: schedule deadlock — " + std::to_string(n - done_count) +
+          " of " + std::to_string(n) +
+          " items can never start (unsatisfiable dependencies)");
     dt = std::max(dt, 0.0);
 
-    // Advance everything by dt and retire finished items.
+    // Advance every running head by dt; a retired head hands its slot to
+    // the next item on its stream.
     bool retired = false;
-    for (const std::size_t i : alive) {
-      if (!st[i].running) continue;
-      const double share =
-          items_[i].resource == Resource::kDeviceMemory
-              ? static_cast<double>(std::max(1u, dev_mem))
-              : static_cast<double>(std::max(1u, pcie_mem));
-      st[i].comp_left -= dt;
-      st[i].mem_left -= dt / share;
-      if (st[i].comp_left <= kEps && st[i].mem_left <= kEps) {
-        st[i].running = false;
-        st[i].done = true;
-        schedule_[i].finish_s = t + dt;
-        ++done_count;
-        retired = true;
-        (items_[i].resource == Resource::kDeviceMemory ? dev_running
-                                                       : pcie_running)--;
-      }
+    for (Head& h : heads) {
+      if (h.held) ms.pcie_queue_s[h.lane] += dt;  // admission wait
+      if (!h.running) continue;
+      const double share = share_of(h);
+      h.comp_left -= dt;
+      h.mem_left -= dt / share;
+      if (h.comp_left > kEps || h.mem_left > kEps) continue;
+      done[h.g] = 1;
+      ++done_count;
+      ms.items[h.lane][h.g - base[h.lane]].finish_s = t + dt;
+      if (item_of(h.g, h.lane).resource == Resource::kDeviceMemory)
+        --dev_running[h.lane];
+      else
+        --pcie_running;
+      h = next[h.g] != npos ? make_head(next[h.g], h.lane) : Head{npos};
+      retired = true;
     }
     t += dt;
     if (retired) {
-      alive.erase(std::remove_if(alive.begin(), alive.end(),
-                                 [&](std::size_t i) { return st[i].done; }),
-                  alive.end());
-      while (done_prefix < n && st[done_prefix].done) ++done_prefix;
+      // Successors have larger indices: one insertion pass restores the
+      // ascending order, and exhausted streams (npos) sink to the end.
+      for (std::size_t i = 1; i < heads.size(); ++i)
+        for (std::size_t j = i; j > 0 && heads[j - 1].g > heads[j].g; --j)
+          std::swap(heads[j - 1], heads[j]);
+      while (!heads.empty() && heads.back().g == npos) heads.pop_back();
+      for (std::size_t l = 0; l < nlanes; ++l)
+        while (base[l] + done_prefix[l] < base[l + 1] &&
+               done[base[l] + done_prefix[l]])
+          ++done_prefix[l];
     }
   }
+  ms.makespan_s = t;
+  return ms;
+}
+
+double Timeline::simulate() {
+  if (!dirty_) return makespan_s_;
+  const ScheduleLane lane{items_, max_kernels_};
+  MergedSchedule ms = merged_schedule({&lane, 1}, PcieStaging::Unlimited());
+  schedule_ = std::move(ms.items[0]);
+  makespan_s_ = ms.makespan_s;
   dirty_ = false;
-  makespan_s_ = t;
-  return t;
+  return makespan_s_;
 }
 
 }  // namespace cusfft::cusim

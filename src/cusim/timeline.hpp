@@ -2,6 +2,11 @@
 // bandwidth sharing, and PCIe transfers as a separate resource. This is what
 // makes the paper's asynchronous data-layout transformation (Fig. 4) — up to
 // 32 kernels in flight on GK110 — simulatable.
+//
+// One scheduler core, merged_schedule(), replays one or more submission
+// lists ("lanes", one per device) on a shared clock. Timeline::simulate()
+// is that core on one lane with unlimited PCIe admission; DeviceGroup runs
+// it on every device's timeline at once (device_group.hpp).
 #pragma once
 
 #include <cstddef>
@@ -49,6 +54,81 @@ struct ItemSchedule {
   double start_s = 0;
   double finish_s = 0;
 };
+
+/// Admission policy for the shared PCIe root complex. Under kUnlimited
+/// (the default, and the only behavior before staging existed) every
+/// in-flight copy splits host-link bandwidth; the staged policies instead
+/// bound how many copies may be in flight at once, so shards stagger
+/// their bulk uploads rather than all contending at t=0 — the total bytes
+/// moved are identical, but the first-admitted device's kernels start
+/// sooner and overlap the remaining copies.
+struct PcieStaging {
+  enum class Kind {
+    kUnlimited,   ///< all ready copies run, splitting link bandwidth
+    kRoundRobin,  ///< one copy at a time, devices admitted in rotation
+    kMaxInflight  ///< at most `limit` concurrent copies (admission in
+                  ///< device-then-submission order)
+  };
+  Kind kind = Kind::kUnlimited;
+  unsigned limit = 0;  // kMaxInflight only
+
+  static PcieStaging Unlimited() { return {}; }
+  static PcieStaging RoundRobin() {
+    return {Kind::kRoundRobin, 0};
+  }
+  static PcieStaging MaxInflight(unsigned n) {
+    return {Kind::kMaxInflight, n > 0 ? n : 1};
+  }
+  const char* name() const {
+    switch (kind) {
+      case Kind::kRoundRobin: return "round-robin";
+      case Kind::kMaxInflight: return "max-inflight";
+      case Kind::kUnlimited: break;
+    }
+    return "unlimited";
+  }
+};
+
+/// One submission list of a merged schedule: a device's items (stream
+/// FIFO, barriers and deps all local to the lane) and its
+/// concurrent-kernel window.
+struct ScheduleLane {
+  std::span<const TimelineItem> items;
+  unsigned max_kernels = 32;
+};
+
+/// merged_schedule() output, index-aligned with its lanes.
+struct MergedSchedule {
+  double makespan_s = 0;  // last finish over all lanes
+  std::vector<std::vector<ItemSchedule>> items;  // per lane, per item
+  /// Per lane: time its PCIe copies spent ready but held back by the
+  /// staging policy (0 under kUnlimited).
+  std::vector<double> pcie_queue_s;
+};
+
+/// The scheduler core: replays every lane on one clock. Within a lane,
+/// items on a stream run in FIFO order, and an item also waits for its
+/// barrier window (all of the lane's items [0, after) done) and its deps
+/// (lane-local indices; out-of-range ones are ignored). Up to
+/// `max_kernels` device kernels per lane run concurrently and share that
+/// lane's memory bandwidth equally (an item's memory phase dilates by the
+/// number of co-running items on its resource); PCIe copies of all lanes
+/// share one host link, admitted under `staging`.
+///
+/// Only stream heads — the first not-done item of each stream — are ever
+/// visited: under stream FIFO no other item can be running or start. The
+/// heads are kept in ascending global index order (lane-major), so every
+/// admission decision (kernel window, MaxInflight, round-robin ties) sees
+/// the candidates in the same order a scan of every item would, and a
+/// barrier is one comparison against the lane's first not-done index.
+/// Each event therefore costs O(streams + deps), not O(items), and every
+/// start/finish comes out of the same arithmetic in the same order as the
+/// full scan, bit for bit (tests/test_fleet_sched.cpp keeps that scan as
+/// the reference). Throws std::runtime_error if items remain that can
+/// never start (a dependency cycle): stopping silently would under-report
+/// the makespan.
+MergedSchedule merged_schedule(std::span<const ScheduleLane> lanes,
+                               const PcieStaging& staging);
 
 class Timeline {
  public:
@@ -101,12 +181,14 @@ class Timeline {
   double event_time_s(std::size_t event_id,
                       const std::vector<ItemSchedule>& sched) const;
 
-  /// Simulates the whole submission list. Items on the same stream run in
+  /// Simulates the whole submission list: merged_schedule() on this one
+  /// lane with unlimited PCIe admission. Items on the same stream run in
   /// FIFO order; an item additionally waits for its barrier window and its
   /// explicit deps (wait_event). Across streams up to
   /// `max_concurrent_kernels` device kernels run concurrently and share
-  /// memory bandwidth equally (an item's memory phase dilates by the number
-  /// of co-running items on its resource). Returns the makespan in seconds.
+  /// memory bandwidth equally. Returns the makespan in seconds; throws
+  /// std::runtime_error if the items deadlock (a dependency cycle, only
+  /// possible with hand-injected deps).
   double simulate();
 
   /// Per-item schedule from the last simulate() call.

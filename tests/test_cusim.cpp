@@ -8,6 +8,9 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -656,6 +659,32 @@ TEST(Timeline, EventAfterBarrierSeesAllPriorWork) {
   EXPECT_NEAR(tl.event_time_s(e), 4e-3, 1e-9);
   EXPECT_NEAR(makespan, 5e-3, 1e-9);
   EXPECT_GE(tl.schedule().back().start_s, 4e-3 - 1e-12);
+}
+
+TEST(Timeline, DeadlockedTimelineThrows) {
+  // "b" waits for "c", which waits for "b": neither can ever start. The
+  // old loop stopped silently, leaving both at finish_s == 0 and
+  // reporting the 1 ms of "a" as the makespan.
+  Timeline tl(32);
+  tl.submit({"a", 0, Resource::kDeviceMemory, 0.0, 1e-3});
+  const std::size_t c_index = 2;
+  tl.submit({"b", 1, Resource::kDeviceMemory, 0.0, 1e-3},
+            std::span<const std::size_t>(&c_index, 1));
+  const std::size_t b_index = 1;
+  tl.submit({"c", 2, Resource::kDeviceMemory, 0.0, 1e-3},
+            std::span<const std::size_t>(&b_index, 1));
+  try {
+    tl.simulate();
+    FAIL() << "expected Timeline::simulate to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("2 of 3"), std::string::npos)
+        << e.what();
+  }
+  // Still dirty: a second call re-runs and throws again rather than
+  // serving a cached makespan.
+  EXPECT_THROW(tl.simulate(), std::runtime_error);
 }
 
 TEST(Timeline, RepeatedSimulateIsIdempotent) {

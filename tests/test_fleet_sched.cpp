@@ -583,6 +583,16 @@ TEST(FleetSched, MergedScheduleBitIdenticalToFullScanReference) {
     if (ref_threw) {
       ++deadlocked;
       EXPECT_THROW(group.simulate(), std::runtime_error) << "trial " << trial;
+      // The deadlocked device's own Timeline::simulate throws too.
+      bool any_threw = false;
+      for (std::size_t d = 0; d < ndev; ++d) {
+        try {
+          group.device(d).timeline().simulate();
+        } catch (const std::runtime_error&) {
+          any_threw = true;
+        }
+      }
+      EXPECT_TRUE(any_threw) << "trial " << trial;
       continue;
     }
     ++compared;

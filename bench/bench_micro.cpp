@@ -9,6 +9,7 @@
 #include "core/rng.hpp"
 #include "cusim/cluster.hpp"
 #include "cusim/device.hpp"
+#include "cusim/device_group.hpp"
 #include "custhrust/scan.hpp"
 #include "custhrust/select.hpp"
 #include "custhrust/sort.hpp"
@@ -31,13 +32,18 @@ cvec random_signal(std::size_t n, u64 seed) {
   return x;
 }
 
+// Out of place from one fixed random input. Transforming one buffer in
+// place every iteration grows the (unnormalized) values by about sqrt(n)
+// per pass until they overflow to Inf and NaN, and the row then times the
+// NaN fallback instead of the butterflies.
 void BM_HostFft(benchmark::State& state) {
   const std::size_t n = 1ULL << state.range(0);
-  cvec x = random_signal(n, 1);
+  const cvec x = random_signal(n, 1);
+  cvec y(n);
   fft::Plan plan(n, fft::Direction::kForward);
   for (auto _ : state) {
-    plan.execute(x);
-    benchmark::DoNotOptimize(x.data());
+    plan.execute(x, y);
+    benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(n));
@@ -267,6 +273,44 @@ void BM_ClusterSimulate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 68);
 }
 BENCHMARK(BM_ClusterSimulate);
+
+void BM_FleetSimulate(benchmark::State& state) {
+  // A serve-shaped merged schedule on DeviceGroup(N): per device 1,800
+  // items on 4 streams (a serve batch's kernels), a device-wide barrier
+  // every 450 items and an H2D copy every 16th item. Built once:
+  // DeviceGroup::simulate recomputes the merged schedule on every call
+  // (only the per-device solo schedule behind the PCIe stall is cached).
+  // BM_ClusterSimulate's 68 items are too few to show a per-event cost
+  // that grows with the item count.
+  const auto ndev = static_cast<std::size_t>(state.range(0));
+  constexpr int kItems = 1800;
+  cusim::DeviceGroup group(ndev);
+  Rng rng(7);
+  for (std::size_t d = 0; d < ndev; ++d) {
+    cusim::Timeline& tl = group.device(d).timeline();
+    for (int i = 0; i < kItems; ++i) {
+      if (i > 0 && i % 450 == 0) tl.barrier();
+      cusim::TimelineItem it;
+      it.name = "k";
+      it.stream = static_cast<cusim::StreamId>(i % 4);
+      if (i % 16 == 0) {
+        it.resource = cusim::Resource::kPcie;
+        it.mem_s = 2e-5 * (1 + rng.next_double());
+      } else {
+        it.mem_s = 1e-5 * (1 + rng.next_double());
+        it.compute_s = 5e-6 * rng.next_double();
+      }
+      tl.submit(std::move(it));
+    }
+  }
+  for (auto _ : state) {
+    const auto fs = group.simulate();
+    benchmark::DoNotOptimize(fs.makespan_s);
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kItems *
+                          static_cast<i64>(ndev));
+}
+BENCHMARK(BM_FleetSimulate)->Arg(1)->Arg(2);
 
 void BM_FlatFilterConstruction(benchmark::State& state) {
   const std::size_t n = 1ULL << 16, B = 512;

@@ -44,6 +44,7 @@ void BM_HostFft(benchmark::State& state) {
   for (auto _ : state) {
     plan.execute(x, y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(n));

@@ -120,7 +120,8 @@ MergedSchedule merged_schedule(std::span<const ScheduleLane> lanes,
     bool held = false;  // ready this step but queued by the staging policy
   };
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> base(nlanes + 1, 0);  // lane l = [base[l], base[l+1])
+  // Lane l holds the global indices [base[l], base[l + 1]).
+  std::vector<std::size_t> base(nlanes + 1, 0);
   for (std::size_t l = 0; l < nlanes; ++l) {
     base[l + 1] = base[l] + lanes[l].items.size();
     ms.items[l].assign(lanes[l].items.size(), ItemSchedule{});
@@ -145,8 +146,9 @@ MergedSchedule merged_schedule(std::span<const ScheduleLane> lanes,
     std::vector<std::pair<StreamId, std::size_t>> last;  // global indices
     for (std::size_t g = base[l]; g < base[l + 1]; ++g) {
       const StreamId sid = item_of(g, l).stream;
-      const auto it = std::find_if(last.begin(), last.end(),
-                                   [&](const auto& p) { return p.first == sid; });
+      const auto it = std::find_if(
+          last.begin(), last.end(),
+          [&](const auto& p) { return p.first == sid; });
       if (it != last.end()) {
         next[it->second] = g;
         it->second = g;

@@ -662,9 +662,9 @@ TEST(Timeline, EventAfterBarrierSeesAllPriorWork) {
 }
 
 TEST(Timeline, DeadlockedTimelineThrows) {
-  // "b" waits for "c", which waits for "b": neither can ever start. The
-  // old loop stopped silently, leaving both at finish_s == 0 and
-  // reporting the 1 ms of "a" as the makespan.
+  // "b" waits for "c", which waits for "b": neither can ever start. A
+  // silent stop would leave both at finish_s == 0 and report the 1 ms of
+  // "a" as the makespan.
   Timeline tl(32);
   tl.submit({"a", 0, Resource::kDeviceMemory, 0.0, 1e-3});
   const std::size_t c_index = 2;

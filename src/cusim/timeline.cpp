@@ -262,7 +262,7 @@ MergedSchedule merged_schedule(std::span<const ScheduleLane> lanes,
       const double share = share_of(h);
       h.comp_left -= dt;
       h.mem_left -= dt / share;
-      if (h.comp_left > kEps || h.mem_left > kEps) continue;
+      if (!(h.comp_left <= kEps && h.mem_left <= kEps)) continue;  // NaN too
       done[h.g] = 1;
       ++done_count;
       ms.items[h.lane][h.g - base[h.lane]].finish_s = t + dt;

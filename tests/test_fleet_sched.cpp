@@ -482,9 +482,10 @@ cusim::FleetSchedule reference_fleet(const DeviceGroup& group) {
 // A random submission list on `tl`: 0-39 items over 1-6 streams, a quarter
 // of them PCIe copies, zero and non-zero mem/compute times drawn from a
 // small grid (so completions tie and several items retire in one event),
-// Timeline::barrier(), device-wide and stream-scoped wait_event deps, and
-// raw submit(item, deps) lists with earlier, dangling (past the last
-// item) and — when `cycles` is set — later indices, which can deadlock.
+// Timeline::barrier(), device-wide and stream-scoped wait_event deps, raw
+// submit(item, deps) lists with earlier, dangling (past the last item)
+// and — when `cycles` is set — later indices, which can deadlock, and a
+// rare NaN compute time.
 void fill_random_timeline(cusim::Timeline& tl, Rng& rng, bool cycles) {
   const std::size_t streams = 1 + rng.next_below(6);
   const std::size_t count = rng.next_below(40);
@@ -513,6 +514,10 @@ void fill_random_timeline(cusim::Timeline& tl, Rng& rng, bool cycles) {
         rng.next_below(4) == 0 ? Resource::kPcie : Resource::kDeviceMemory;
     it.mem_s = duration();
     it.compute_s = duration();
+    // A NaN time never drains, so the item never finishes: both sides
+    // must end in the deadlock throw.
+    if (rng.next_below(400) == 0)
+      it.compute_s = std::numeric_limits<double>::quiet_NaN();
     std::vector<std::size_t> deps;
     if (rng.next_below(5) == 0) {
       const std::size_t nd = 1 + rng.next_below(3);
